@@ -36,12 +36,15 @@ def _phi_of_sample(atoms: AtomSet, spec: CriterionSpec, sample) -> float:
 
 @dataclass
 class BenchRow:
+    """One method's outcome; status is "ok", "skipped", "failed" or "nonconverged"."""
+
     method: str
     seconds: float
     efficiency: float
     certified: float
     phi_value: float
     note: str = ""
+    status: str = "ok"
 
 
 @dataclass
@@ -68,7 +71,9 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
     relaxation of the same instance.
 
     Methods expected to exceed ``time_budget`` seconds (when given) are
-    skipped with an explanatory note instead of blocking the run.  A
+    skipped with an explanatory note instead of blocking the run.  A method
+    that raises, and a hybrid solve that misses its gap target, are recorded
+    with a note and a status rather than stopping the run.  A
     precomputed reference measure (solved to REFERENCE_GAP) avoids repeating
     the expensive certification solve across benchmarks of one instance.
     """
@@ -79,6 +84,7 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
 
     for method in methods:
         t0 = time.perf_counter()
+        status, note = "ok", ""
         try:
             if method == "hybrid":
                 cfg = solver_cfg if solver_cfg is not None else SolverConfig(epsilon=1.0 / n)
@@ -86,13 +92,17 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
                     cfg = replace(cfg, epsilon=1.0 / n)
                 res = solve_hybrid(atoms, spec, cfg)
                 sample = round_to_sample(res.w, n, res.scores)
+                if not res.converged:
+                    status = "nonconverged"
+                    note = f"not converged: gap {res.gap_ratio:.3g} > {cfg.target_gap:.3g}"
             elif method == "exchange":
                 sample = exchange_select(atoms, n).sample
             elif method == "backward":
                 if time_budget is not None and N * (N - n) * atoms.k > 5e11:
                     result.rows.append(BenchRow(method, float("nan"), float("nan"),
                                                 float("nan"), float("nan"),
-                                                note="skipped: over time budget"))
+                                                note="skipped: over time budget",
+                                                status="skipped"))
                     continue
                 sample = backward_select(atoms, n).sample
             else:
@@ -100,7 +110,8 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
         except Exception as exc:  # record, keep benchmarking the rest
             result.rows.append(BenchRow(method, time.perf_counter() - t0,
                                         float("nan"), float("nan"), float("nan"),
-                                        note=f"failed: {type(exc).__name__}"))
+                                        note=f"failed: {type(exc).__name__}",
+                                        status="failed"))
             continue
         seconds = time.perf_counter() - t0
         w_sample = measure_of_sample(sample, N)
@@ -108,7 +119,8 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
         result.rows.append(BenchRow(method=method, seconds=seconds,
                                     efficiency=bounds.ratio,
                                     certified=bounds.certified_lower_bound,
-                                    phi_value=_phi_of_sample(atoms, spec, sample)))
+                                    phi_value=_phi_of_sample(atoms, spec, sample),
+                                    note=note, status=status))
     return result
 
 

@@ -399,6 +399,7 @@ def cmd_bench(args) -> int:
     }
     timings = {"total_seconds": time.perf_counter() - t0}
     timings.update({f"{r.method}_seconds": float(r.seconds) for r in bench.rows if np.isfinite(r.seconds)})
+    statuses = {r.status for r in bench.rows}
     report = make_report(
         command="bench",
         params={**source, "n": n, "p": float(_resolved(args, "p", 0.0)), "methods": methods,
@@ -406,12 +407,16 @@ def cmd_bench(args) -> int:
         results=results,
         timings=timings,
         seed=_resolved(args, "seed", 0),
-        converged=True,
+        converged="nonconverged" not in statuses,
     )
     write_report(os.path.join(out, "report.json"), report)
     for r in bench.rows:
         print(f"{r.method:>9}: {r.seconds:8.3f}s  efficiency {r.efficiency:.7f}  {r.note}")
-    return EXIT_OK
+        if r.status in ("failed", "nonconverged"):
+            print(f"error: {r.method}: {r.note}", file=sys.stderr)
+    if "failed" in statuses:
+        return EXIT_DEGENERATE
+    return EXIT_NONCONVERGED if "nonconverged" in statuses else EXIT_OK
 
 
 def cmd_cross_criteria(args) -> int:

@@ -21,6 +21,7 @@ ZERO_BAND = 1e-9        # |w_i| below this counts as "at zero"
 CAP_BAND = 1e-9         # |w_i - eps| below this counts as "at the cap"
 MASS_TOL = 1e-12        # projection accuracy on the total mass
 _PD_RTOL = 1e-12        # relative eigenvalue cutoff used by the PD probe
+_PROJ_MAX_ITERS = 200   # Newton/bisection steps of the projection (5-12 in practice)
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,26 @@ def _greedy_linear_max(scores: np.ndarray, epsilon: float, mass: float) -> np.nd
     """Maximize sum u_i * scores_i over 0 <= u <= eps, sum u = mass.
 
     Fills the cap greedily by descending score, ties broken by ascending
-    index; the leftover mass lands on the next-ranked point.
+    index; the leftover mass lands on the next-ranked point.  Only the
+    points that receive mass are ranked: a partition finds the threshold
+    score, every point above it is taken, then the tied points in index
+    order, and just those candidates are sorted.
     """
     n = scores.shape[0]
-    order = np.argsort(-scores, kind="stable")
     full = int(np.floor(mass / epsilon + 1e-9))
     full = min(full, n)
-    u = np.zeros(n)
-    u[order[:full]] = epsilon
     resid = mass - full * epsilon
+    need = min(full + (resid > MASS_TOL), n)
+    u = np.zeros(n)
+    if need == 0:
+        return u
+    neg = -scores
+    threshold = np.partition(neg, need - 1)[need - 1]
+    above = np.flatnonzero(neg < threshold)
+    tied = np.flatnonzero(neg == threshold)[: need - above.size]
+    cand = np.sort(np.concatenate((above, tied)))
+    order = cand[np.argsort(neg[cand], kind="stable")]
+    u[order[:full]] = epsilon
     if resid > MASS_TOL:
         u[order[full]] = resid
     return u
@@ -132,11 +144,15 @@ def psg_measure(scores, epsilon: float, atoms, fallback: Measure) -> Measure:
 def project_capped_simplex(v, epsilon: float, mass: float) -> np.ndarray:
     """Euclidean projection of v onto { 0 <= u <= eps, sum u = mass }.
 
-    The projection is u_i = clip(v_i - lam, 0, eps) where the mass function
+    The projection is u_i = clip(v_i - lam, 0, eps), where the mass function
     g(lam) = sum_i clip(v_i - lam, 0, eps) is continuous, piecewise linear
-    and non-increasing; lam is solved exactly on the linear segment between
-    the bracketing pair of the 2m breakpoints {v_i - eps, v_i}, then a
-    fixed-pattern Newton pass absorbs the interpolation roundoff.
+    and non-increasing, with g = m * eps at min(v) - eps and g = 0 at max(v).
+    lam is found in expected linear time by Newton steps on g inside that
+    bracket, with a bisection step whenever Newton leaves the bracket or no
+    coordinate is free (Wang & Lu 2015, arXiv:1503.01002).  Once two
+    iterates share a linear piece, lam is solved exactly on it,
+    lam = (sum_free v + eps * #capped - mass) / #free, which in floating
+    point is one common shift of the free u_i that puts the mass back.
     """
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
@@ -153,38 +169,42 @@ def project_capped_simplex(v, epsilon: float, mass: float) -> np.ndarray:
     if mass == cap:
         return np.full(m, epsilon)
 
-    vs = np.sort(v)
-    prefix = np.concatenate(([0.0], np.cumsum(vs)))
-
-    def g_at(lams):
-        lo = np.searchsorted(vs, lams, side="right")
-        hi = np.searchsorted(vs, lams + epsilon, side="left")
-        return epsilon * (m - hi) + (prefix[hi] - prefix[lo]) - lams * (hi - lo)
-
-    b = np.sort(np.concatenate((vs - epsilon, vs)))
-    g = g_at(b)
-    # g decreases from cap at b[0] to 0 at b[-1]; mass is strictly between,
-    # so the first breakpoint with g <= mass has a strictly-above predecessor
-    j = int(np.searchsorted(-g, -mass, side="left"))
-    if j == 0:
-        lam = float(b[0])
-    else:
-        g_lo, g_hi = float(g[j - 1]), float(g[j])
-        b_lo, b_hi = float(b[j - 1]), float(b[j])
-        if g_lo <= g_hi or b_hi <= b_lo:
-            lam = b_lo
+    lo, hi = float(v.min()) - epsilon, float(v.max())
+    # exact when every coordinate ends up free
+    lam = min(max((float(v.sum()) - mass) / m, lo), hi)
+    pattern = None
+    for _ in range(_PROJ_MAX_ITERS):
+        shifted = v - lam
+        capped = shifted >= epsilon
+        free = (shifted > 0.0) & ~capped
+        n_free = int(np.count_nonzero(free))
+        n_cap = int(np.count_nonzero(capped))
+        excess = epsilon * n_cap + float(shifted[free].sum()) - mass
+        # lam only moves toward the root, so equal counts mean an equal set:
+        # the last Newton step landed on the root of this linear piece
+        if excess == 0.0 or (n_free, n_cap) == pattern:
+            break
+        pattern = (n_free, n_cap)
+        if excess > 0.0:
+            lo = lam
         else:
-            lam = b_lo + (g_lo - mass) * (b_hi - b_lo) / (g_lo - g_hi)
-    for _ in range(4):
-        u = np.clip(v - lam, 0.0, epsilon)
-        resid = float(u.sum()) - mass
-        if abs(resid) <= MASS_TOL:
+            hi = lam
+        step = lam + excess / n_free if n_free else np.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            pattern = None
+        if step == lam:
             break
-        free = int(np.count_nonzero((u > 0.0) & (u < epsilon)))
-        if free == 0:
-            break
-        lam += resid / free
-    return np.clip(v - lam, 0.0, epsilon)
+        lam = step
+    u = np.clip(v - lam, 0.0, epsilon)
+    free = (u > 0.0) & (u < epsilon)
+    n_free = int(np.count_nonzero(free))
+    if n_free:
+        # exact solve on the final piece, done on u: for free i, v_i - lam is
+        # exact or nearly (Sterbenz), so the rounding of lam is a common shift
+        u[free] += (mass - float(u.sum())) / n_free
+        np.clip(u, 0.0, epsilon, out=u)
+    return u
 
 
 def round_to_sample(w: Measure, n: int, scores) -> SampleSet:

@@ -5,8 +5,11 @@ Three cooperating pieces:
 * boost steps: damped line moves toward the steepest-gradient measure, with
   the step size from a quadratic model of the criterion along the segment;
 * restricted minimization: coordinates agreeing with the steepest-gradient
-  measure at a bound are pinned there, the rest are optimized by projected
-  gradient inside the capped box;
+  measure at a bound are pinned there, the rest are optimized inside the
+  capped box by a nonmonotone spectral projected gradient (SPG; Birgin,
+  Martinez & Raydan 2000): one projection per iteration with a
+  Barzilai-Borwein step, and a line search along the segment to the
+  projected point that runs on k x k information matrices only;
 * the hybrid driver: boost until the relative optimality gap reaches v0,
   then alternate steepest-gradient classification with restricted solves
   until the gap reaches v.
@@ -19,6 +22,7 @@ every run yields a computable efficiency bound for any candidate sample.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +51,14 @@ from .measures import (
 PHI_SLACK = 1e-12
 # relative outer-loop improvement under which a safeguard boost is inserted
 STALL_RTOL = 1e-14
+# inner loop: a trial is accepted against the largest criterion value of the
+# last NONMONOTONE_WINDOW accepted iterates, with Armijo constant ARMIJO
+NONMONOTONE_WINDOW = 10
+ARMIJO = 1e-4
+# the spectral step is capped at ALPHA_MAX and grows by BB_GROW when s^T y <= 0
+ALPHA_MAX = 1e30
+BB_GROW = 10.0
+_ROUNDOFF = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -165,6 +177,8 @@ class SolveResult:
     scores: np.ndarray
     iterations: dict[str, int]
     inner_iterations: int = 0
+    # restricted solves that stopped at cfg.inner_max_iters
+    inner_cap_hits: int = 0
 
 
 @dataclass
@@ -236,7 +250,8 @@ def _tau_fd(M0: np.ndarray, M1: np.ndarray, spec: CriterionSpec, h: float = 1e-4
 def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec,
                 cfg: SolverConfig) -> tuple[Measure, float]:
     eta_value = ev.state.phi_value - ev.lin
-    if eta_value >= 0.0:
+    # a directional derivative within roundoff of zero is stationary
+    if eta_value >= -PHI_SLACK * (1.0 + abs(ev.state.phi_value)):
         return w, 0.0
     M_sg = aset.weighted_sum(ev.sg.weights)
     tau_value = _tau_fd(ev.state.M, M_sg, spec)
@@ -273,17 +288,23 @@ def restricted_minimize(w: Measure, sg: Measure, atoms, spec: CriterionSpec,
     """Minimize the criterion with bound-agreeing coordinates pinned.
 
     Points at the cap in both w and sg stay at the cap, points at zero in
-    both stay at zero; the rest move by projected gradient (the gradient
-    coordinate is the negated leverage) inside the capped box with the
-    leftover mass.  The result never has a larger criterion value than w.
+    both stay at zero; the rest move inside the capped box with the leftover
+    mass, by nonmonotone spectral projected gradient (the gradient
+    coordinate is the negated leverage).  Each iteration projects once, at
+    the Barzilai-Borwein step s^T s / s^T y, and searches the segment from
+    the iterate to that projection in information space: a trial costs one
+    k x k factorization of M + t * M_d.  A trial is accepted under an Armijo
+    rule against the largest criterion value of the last NONMONOTONE_WINDOW
+    iterates, so single steps may go uphill; the best iterate is returned,
+    and the result never has a larger criterion value than w.
     """
-    measure, _, _ = _restricted(as_atom_set(atoms), w, sg, spec, cfg, pinned, phi_ref=None)
+    measure, _, _, _ = _restricted(as_atom_set(atoms), w, sg, spec, cfg, pinned, phi_ref=None)
     return measure
 
 
 def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
                 cfg: SolverConfig, pinned: np.ndarray | None,
-                phi_ref: float | None) -> tuple[Measure, float, int]:
+                phi_ref: float | None) -> tuple[Measure, float, int, bool]:
     eps = w.epsilon
     t1, t2 = active_set_split(w, sg)
     if pinned is not None:
@@ -294,11 +315,11 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     if phi_ref is None:
         phi_ref = build_info_state(aset, w, spec).phi_value
     if not free.any():
-        return w, phi_ref, 0
+        return w, phi_ref, 0, False
 
     mass = 1.0 - eps * int(t1.sum())
     if mass < -1e-9:
-        return w, phi_ref, 0
+        return w, phi_ref, 0, False
     mass = max(mass, 0.0)
     M_fixed = eps * aset.weighted_sum(t1.astype(float)) if t1.any() else np.zeros((aset.k, aset.k))
     free_atoms = aset.subset(free)
@@ -310,46 +331,66 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     try:
         state = assemble(wf)
     except SingularInformation:
-        return w, phi_ref, 0
+        return w, phi_ref, 0, False
 
-    step = None
+    # nonmonotone spectral projected gradient (Birgin, Martinez & Raydan 2000)
+    # on the free coordinates; grad holds the scores, the negated gradient
+    grad = phi_p_scores(free_atoms, state, spec)
+    recent = deque([state.phi_value], maxlen=NONMONOTONE_WINDOW)
+    best_wf, best_phi = wf, state.phi_value
+    alpha = eps / max(float(grad.max() - grad.min()), 1e-12)
+    cap_hit = False
     inner = 0
     for inner in range(1, cfg.inner_max_iters + 1):
-        grad = phi_p_scores(free_atoms, state, spec)
         u_best = _greedy_linear_max(grad, eps, mass)
         res_gap = float((u_best - wf) @ grad)
         if res_gap <= cfg.inner_tol * max(state.phi_value, 1e-300):
             break
-        if step is None:
-            spread = float(grad.max() - grad.min())
-            step = eps / max(spread, 1e-12)
-        accepted = False
-        for _ in range(60):
-            uf = project_capped_simplex(wf + step * grad, eps, mass)
-            predicted = float(grad @ (uf - wf))
-            if predicted <= 0.0:
-                step *= 4.0
-                if step > 1e18:
-                    break
-                continue
-            try:
-                trial = assemble(uf)
-            except SingularInformation:
-                step *= 0.25
-                continue
-            if trial.phi_value <= state.phi_value - 1e-4 * predicted:
-                wf, state = uf, trial
-                step *= 1.3
-                accepted = True
-                break
-            step *= 0.25
-            if step < 1e-18:
-                break
-        if not accepted:
+        d = project_capped_simplex(wf + alpha * grad, eps, mass) - wf
+        slope = float(grad @ d)
+        if not slope > 0.0:  # the step vanished in roundoff
             break
+        # the criterion along the segment wf + t d needs only the k x k matrices
+        M_d = free_atoms.weighted_sum(d)
+        phi0 = state.phi_value
+        phi_max = max(recent)
+        t = 1.0
+        accepted = None
+        # give up once the predicted decrease is below the roundoff of phi
+        while t * slope > _ROUNDOFF * abs(phi0):
+            try:
+                trial = info_state_from_m(state.M + t * M_d, spec)
+            except SingularInformation:
+                t *= 0.5
+                continue
+            if trial.phi_value <= phi_max - ARMIJO * t * slope:
+                accepted = trial
+                break
+            # safeguarded minimizer of the quadratic through phi0, slope and the trial
+            curv = trial.phi_value - phi0 + t * slope
+            t_next = 0.5 * slope * t * t / curv if curv > 0.0 else 0.5 * t
+            t = min(max(t_next, 0.1 * t), 0.5 * t)
+        if accepted is None:
+            break
+        s_step = t * d
+        grad_next = phi_p_scores(free_atoms, accepted, spec)
+        sty = float(s_step @ (grad - grad_next))
+        alpha = min(float(s_step @ s_step) / sty if sty > 0.0 else alpha * BB_GROW, ALPHA_MAX)
+        wf, state, grad = wf + s_step, accepted, grad_next
+        recent.append(state.phi_value)
+        if state.phi_value < best_phi:
+            best_wf, best_phi = wf, state.phi_value
+    else:
+        cap_hit = True
 
+    # one fresh assembly: the line searches updated M incrementally
+    wf = np.clip(best_wf, 0.0, eps)
+    try:
+        state = assemble(wf)
+    except SingularInformation:
+        return w, phi_ref, inner, cap_hit
     if state.phi_value > phi_ref + PHI_SLACK:
-        return w, phi_ref, inner
+        return w, phi_ref, inner, cap_hit
     full = np.array(w.weights, dtype=float, copy=True)
     full[t1] = eps
     full[t2] = 0.0
@@ -357,14 +398,15 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     total = full.sum()
     if abs(total - 1.0) > 1e-13:
         full = full / total
-    return Measure(full, eps), float(state.phi_value), inner
+    return Measure(full, eps), float(state.phi_value), inner, cap_hit
 
 
 def _refine_loop(aset: AtomSet, w: Measure, spec: CriterionSpec, cfg: SolverConfig,
                  pinned: np.ndarray | None, trace: SolveTrace, t0: float,
-                 phase: str = "refine") -> tuple[Measure, bool, _Eval, int, int]:
+                 phase: str = "refine") -> tuple[Measure, bool, _Eval, int, int, int]:
     pending_boost = False
     inner_total = 0
+    cap_hits = 0
     outer = 0
     for outer in range(1, cfg.max_outer_iters + 1):
         ev = _evaluate(aset, w, spec, pinned)
@@ -373,7 +415,7 @@ def _refine_loop(aset: AtomSet, w: Measure, spec: CriterionSpec, cfg: SolverConf
                   alpha=0.0, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
                   wall_time=time.perf_counter() - t0)
         if ev.gap_ratio <= cfg.v:
-            return w, True, ev, outer, inner_total
+            return w, True, ev, outer, inner_total, cap_hits
         if pending_boost:
             w_b, alpha = _boost_once(aset, w, ev, spec, cfg)
             pending_boost = False
@@ -384,22 +426,23 @@ def _refine_loop(aset: AtomSet, w: Measure, spec: CriterionSpec, cfg: SolverConf
                           alpha=alpha, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
                           wall_time=time.perf_counter() - t0)
                 if ev.gap_ratio <= cfg.v:
-                    return w, True, ev, outer, inner_total
+                    return w, True, ev, outer, inner_total, cap_hits
         sg_pd = ev.sg
         try:
             sg_pd = psg_measure(_pin_scores(ev.scores, pinned), w.epsilon, aset, fallback=w)
         except SingularInformation:
             pass
-        w_new, phi_new, inner = _restricted(aset, w, sg_pd, spec, cfg, pinned,
-                                            phi_ref=ev.state.phi_value)
+        w_new, phi_new, inner, cap_hit = _restricted(aset, w, sg_pd, spec, cfg, pinned,
+                                                     phi_ref=ev.state.phi_value)
         inner_total += inner
+        cap_hits += cap_hit
         improve = ev.state.phi_value - phi_new
         pending_boost = improve < STALL_RTOL * abs(ev.state.phi_value)
         w = w_new
     ev = _evaluate(aset, w, spec, pinned)
     trace.add(phase=phase, phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
               alpha=0.0, t1_size=0, t2_size=0, wall_time=time.perf_counter() - t0)
-    return w, bool(ev.gap_ratio <= cfg.v), ev, outer, inner_total
+    return w, bool(ev.gap_ratio <= cfg.v), ev, outer, inner_total, cap_hits
 
 
 def solve_active_set(w0: Measure, atoms, spec: CriterionSpec, cfg: SolverConfig,
@@ -408,11 +451,12 @@ def solve_active_set(w0: Measure, atoms, spec: CriterionSpec, cfg: SolverConfig,
     aset = as_atom_set(atoms)
     t0 = time.perf_counter()
     trace = SolveTrace()
-    w, converged, ev, outer, inner_total = _refine_loop(aset, w0, spec, cfg, pinned, trace, t0)
+    w, converged, ev, outer, inner_total, cap_hits = _refine_loop(
+        aset, w0, spec, cfg, pinned, trace, t0)
     return SolveResult(w=w, trace=trace, converged=converged, gap_ratio=ev.gap_ratio,
                        phi_value=ev.state.phi_value, scores=ev.scores,
                        iterations={"boost": 0, "refine": outer},
-                       inner_iterations=inner_total)
+                       inner_iterations=inner_total, inner_cap_hits=cap_hits)
 
 
 def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
@@ -469,16 +513,17 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
                   alpha=np.nan, t1_size=0, t2_size=0, wall_time=time.perf_counter() - t0)
 
     if cfg.refine_enabled and ev.gap_ratio > cfg.v:
-        w, converged, ev, outer, inner_total = _refine_loop(
+        w, converged, ev, outer, inner_total, cap_hits = _refine_loop(
             aset, w, spec, cfg, pinned_idx, trace, t0)
     else:
         converged = ev.gap_ratio <= cfg.target_gap
         outer = 0
         inner_total = 0
+        cap_hits = 0
     return SolveResult(w=w, trace=trace, converged=converged, gap_ratio=ev.gap_ratio,
                        phi_value=ev.state.phi_value, scores=ev.scores,
                        iterations={"boost": n_boost, "refine": outer},
-                       inner_iterations=inner_total)
+                       inner_iterations=inner_total, inner_cap_hits=cap_hits)
 
 
 def solve_d_leverage(atoms, cfg: SolverConfig) -> SolveResult:

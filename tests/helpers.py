@@ -13,6 +13,7 @@ from batchdesign import (
     project_capped_simplex,
 )
 from batchdesign.errors import SingularInformation
+from batchdesign.measures import MASS_TOL
 
 
 def gaussian_pool(rng, N, k, intercept=True):
@@ -26,6 +27,67 @@ def random_feasible(rng, N, eps, measure=True):
     """Uniformly-ish random point of the capped simplex via projection."""
     w = project_capped_simplex(rng.random(N), eps, 1.0)
     return Measure(w, eps) if measure else w
+
+
+def greedy_linear_max_sorted(scores, epsilon, mass):
+    """Reference for measures._greedy_linear_max: a full stable argsort."""
+    n = scores.shape[0]
+    order = np.argsort(-scores, kind="stable")
+    full = min(int(np.floor(mass / epsilon + 1e-9)), n)
+    u = np.zeros(n)
+    u[order[:full]] = epsilon
+    resid = mass - full * epsilon
+    if resid > MASS_TOL:
+        u[order[full]] = resid
+    return u
+
+
+def project_capped_simplex_sorted(v, epsilon, mass):
+    """Reference for measures.project_capped_simplex on a feasible mass.
+
+    Sorts the 2m breakpoints {v_i - eps, v_i} of the mass function
+    g(lam) = sum_i clip(v_i - lam, 0, eps), interpolates lam on the linear
+    segment that brackets the mass, then absorbs the interpolation roundoff
+    with fixed-pattern Newton passes.
+    """
+    v = np.asarray(v, dtype=float)
+    m = v.shape[0]
+    cap = m * epsilon
+    mass = min(max(mass, 0.0), cap)
+    if mass == 0.0:
+        return np.zeros(m)
+    if mass == cap:
+        return np.full(m, epsilon)
+    vs = np.sort(v)
+    prefix = np.concatenate(([0.0], np.cumsum(vs)))
+
+    def g_at(lams):
+        lo = np.searchsorted(vs, lams, side="right")
+        hi = np.searchsorted(vs, lams + epsilon, side="left")
+        return epsilon * (m - hi) + (prefix[hi] - prefix[lo]) - lams * (hi - lo)
+
+    b = np.sort(np.concatenate((vs - epsilon, vs)))
+    g = g_at(b)
+    j = int(np.searchsorted(-g, -mass, side="left"))
+    if j == 0:
+        lam = float(b[0])
+    else:
+        g_lo, g_hi = float(g[j - 1]), float(g[j])
+        b_lo, b_hi = float(b[j - 1]), float(b[j])
+        if g_lo <= g_hi or b_hi <= b_lo:
+            lam = b_lo
+        else:
+            lam = b_lo + (g_lo - mass) * (b_hi - b_lo) / (g_lo - g_hi)
+    for _ in range(4):
+        u = np.clip(v - lam, 0.0, epsilon)
+        resid = float(u.sum()) - mass
+        if abs(resid) <= MASS_TOL:
+            break
+        free = int(np.count_nonzero((u > 0.0) & (u < epsilon)))
+        if free == 0:
+            break
+        lam += resid / free
+    return np.clip(v - lam, 0.0, epsilon)
 
 
 def phi_of_subset(atoms, idx, spec):

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import batchdesign.bench as bench_mod
 from batchdesign.cli import main
 from batchdesign.reports import strip_volatile, validate_report
 
@@ -155,6 +157,33 @@ def test_bench_runs_all_methods(tmp_path, capsys):
         table = list(csv.DictReader(fh))
     assert [t["method"] for t in table] == ["hybrid", "exchange", "backward"]
     assert "hybrid" in capsys.readouterr().out
+
+
+def test_bench_exit_code_reports_failed_and_nonconverged_methods(tmp_path, monkeypatch, capsys):
+    def broken_exchange(*args, **kwargs):
+        raise np.linalg.LinAlgError("exchange blew up")
+
+    argv = ["bench", "--N", "60", "--k", "3", "--n", "10", "--seed", "1",
+            "--methods", "hybrid,exchange"]
+    monkeypatch.setattr(bench_mod, "exchange_select", broken_exchange)
+    out = tmp_path / "failed"
+    assert main(argv + ["--output-dir", str(out)]) == 3
+    rows = {r["method"]: r for r in _report(out)["results"]["rows"]}
+    assert rows["exchange"]["note"] == "failed: LinAlgError"
+    assert rows["hybrid"]["note"] == ""
+    assert "exchange" in capsys.readouterr().err
+
+    monkeypatch.undo()
+    real_solve = bench_mod.solve_hybrid
+    monkeypatch.setattr(bench_mod, "solve_hybrid",
+                        lambda *a, **kw: dataclasses.replace(real_solve(*a, **kw), converged=False))
+    out = tmp_path / "nonconverged"
+    assert main(argv + ["--output-dir", str(out)]) == 4
+    rep = _report(out)
+    assert rep["converged"] is False
+    rows = {r["method"]: r for r in rep["results"]["rows"]}
+    assert rows["hybrid"]["note"].startswith("not converged")
+    assert rows["exchange"]["note"] == ""
 
 
 def test_cross_criteria_table(tmp_path):

@@ -14,7 +14,9 @@ from batchdesign import (
     trichotomy_check,
 )
 from batchdesign.errors import InfeasibleEpsilon, InfeasibleMass, PositivityRepairFailed
-from batchdesign.measures import active_set_split
+from batchdesign.measures import MASS_TOL, _greedy_linear_max, active_set_split
+
+from helpers import greedy_linear_max_sorted, project_capped_simplex_sorted
 
 
 def test_measure_validation():
@@ -126,6 +128,59 @@ def test_projection_variational_inequality(seed):
         assert float((v - u) @ (z - u)) <= 1e-8
     # idempotency
     assert np.allclose(project_capped_simplex(u, eps, 1.0), u, atol=1e-9)
+
+
+kernel_inputs = dict(
+    seed=st.integers(0, 2**32 - 1),
+    dist=st.sampled_from(["gaussian", "cauchy", "tied"]),
+    scale=st.sampled_from([1e-8, 1e-4, 1.0, 1e3]),
+    mass_kind=st.sampled_from(["interior", "below_cap", "full"]),
+    pin=st.booleans(),
+)
+
+
+def _kernel_case(seed, dist, scale, mass_kind, pin):
+    """Scores, cap and mass for the kernel-against-oracle properties.
+
+    "tied" rounds Gaussian draws to a half-unit grid, so most values repeat;
+    pinned points get max + 1, the way the solvers pin purchased points.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 200))
+    if dist == "gaussian":
+        v = rng.standard_normal(m)
+    elif dist == "cauchy":
+        v = rng.standard_cauchy(m)
+    else:
+        v = np.round(2.0 * rng.standard_normal(m)) / 2.0
+    v = scale * v
+    if pin:
+        v[rng.random(m) < 0.3] = v.max() + 1.0
+    eps = float(rng.uniform(0.01, 1.0))
+    if mass_kind == "interior":
+        mass = float(rng.uniform(0.0, m * eps))
+    elif mass_kind == "below_cap":
+        mass = float(rng.uniform(0.0, eps))
+    else:
+        mass = m * eps
+    return v, eps, mass
+
+
+@given(**kernel_inputs)
+def test_greedy_linear_max_matches_stable_argsort(seed, dist, scale, mass_kind, pin):
+    v, eps, mass = _kernel_case(seed, dist, scale, mass_kind, pin)
+    assert np.array_equal(_greedy_linear_max(v, eps, mass), greedy_linear_max_sorted(v, eps, mass))
+
+
+@given(**kernel_inputs)
+def test_projection_matches_sorted_breakpoints(seed, dist, scale, mass_kind, pin):
+    v, eps, mass = _kernel_case(seed, dist, scale, mass_kind, pin)
+    u = project_capped_simplex(v, eps, mass)
+    # the oracle's lam sits on the float grid of v, one spacing of max|v| apart
+    tol = 1e-8 * eps + np.spacing(np.abs(v).max())
+    assert np.max(np.abs(u - project_capped_simplex_sorted(v, eps, mass))) <= tol
+    assert abs(float(u.sum()) - mass) <= MASS_TOL * max(1.0, mass)
+    assert u.min() >= 0.0 and u.max() <= eps
 
 
 def test_round_to_sample_tie_breaks():

@@ -153,6 +153,18 @@ def test_boost_step_is_stationary_at_fixed_point(rng):
     step = boost_step(w, w, X, spec, _cfg(0.2))
     assert step.alpha == 0.0
     assert np.allclose(step.w_next.weights, w.weights)
+    # one interior weight moved by 1e-12 is still a legal measure (SUM_TOL is
+    # 1e-10); the directional derivative is then pure roundoff, not descent
+    interior = np.flatnonzero((w.weights > 1e-9) & (w.weights < 0.2 - 1e-9))
+    assert interior.size
+    for i in interior:
+        for delta in (1e-12, -1e-12):
+            wts = w.weights.copy()
+            wts[i] += delta
+            moved = Measure(wts, 0.2)
+            step = boost_step(moved, moved, X, spec, _cfg(0.2))
+            assert step.alpha == 0.0, (i, delta)
+            assert np.array_equal(step.w_next.weights, moved.weights)
 
 
 def test_boost_step_descends(rng):
@@ -175,6 +187,17 @@ def test_restricted_never_increases(rng):
         w_new = restricted_minimize(w, gap.sg, X, spec, _cfg(0.15))
         phi_new = build_info_state(X, w_new, spec).phi_value
         assert phi_new <= gap.phi_value + 1e-12
+
+
+def test_inner_cap_hits_counted(rng):
+    X = gaussian_pool(rng, 40, 3)
+    spec = CriterionSpec(p=1.0)
+    capped = solve_hybrid(X, spec, _cfg(0.1, v=1e-9, inner_max_iters=1, max_outer_iters=5))
+    assert capped.inner_iterations > 0
+    assert 0 < capped.inner_cap_hits <= capped.iterations["refine"]
+    assert capped.trace.is_monotone()
+    roomy = solve_hybrid(X, spec, _cfg(0.1, v=1e-9))
+    assert roomy.converged and roomy.inner_cap_hits == 0
 
 
 def test_determinant_fast_path_agrees_with_hybrid(rng):

@@ -4,8 +4,8 @@ Solve the capped-simplex relaxation of the best-size-n-subset problem for
 Phi_p information criteria, round to a sample, and certify its efficiency.
 """
 
-from .atoms import AtomSet, InfoAtom, as_atom_set
-from .criteria import CriterionSpec, InfoState, build_info_state, eta, phi_p_leverage, phi_p_scores, phi_p_value, tau
+from .atoms import AtomSet, as_atom_set
+from .criteria import CriterionSpec, InfoState, build_info_state, eta, phi_p_leverage, phi_p_scores, tau
 from .errors import (
     DegenerateCategory,
     DesignError,
@@ -14,6 +14,7 @@ from .errors import (
     FitDiverged,
     InfeasibleEpsilon,
     InfeasibleMass,
+    NonFiniteAtom,
     NotPSD,
     ParseError,
     PositivityRepairFailed,
@@ -50,7 +51,6 @@ from .solvers import (
     optimality_gap,
     restricted_minimize,
     solve_active_set,
-    solve_d_leverage,
     solve_hybrid,
 )
 from .baselines import BaselineResult, backward_select, exchange_select

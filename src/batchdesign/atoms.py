@@ -3,16 +3,15 @@
 A design point contributes either a rank-one term x x^T (stored as the vector
 x) or a full symmetric PSD matrix when the per-point information has higher
 rank (e.g. multi-category responses).  ``AtomSet`` keeps a whole pool in one
-ndarray so that reductions over the pool stay vectorized.
+ndarray so that reductions over the pool stay vectorized; it is the only atom
+type, and a single atom is a row (or slice) of its ``data``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD
+from .errors import DimensionMismatch, NonFiniteAtom, NotPSD
 
 # relative eigenvalue slack below which a matrix atom still counts as PSD
 PSD_RTOL = 1e-8
@@ -28,41 +27,12 @@ def _check_psd_stack(mats: np.ndarray) -> None:
         raise NotPSD(f"atom {i} has eigenvalue {lam_min[i]:.3e} (max {lam_max[i]:.3e})")
 
 
-@dataclass(frozen=True)
-class InfoAtom:
-    """A single design point's information contribution.
-
-    Exactly one of ``vector`` (rank-one contribution x x^T) or ``matrix``
-    (full symmetric PSD contribution) is set.
-    """
-
-    vector: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.vector is None) == (self.matrix is None):
-            raise ValueError("exactly one of vector or matrix must be given")
-        if self.vector is not None:
-            v = np.asarray(self.vector, dtype=float)
-            if v.ndim != 1:
-                raise DimensionMismatch("vector atom must be one-dimensional")
-            object.__setattr__(self, "vector", v)
-        else:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DimensionMismatch("matrix atom must be square")
-            m = 0.5 * (m + m.T)
-            _check_psd_stack(m[None])
-            object.__setattr__(self, "matrix", m)
-
-    @property
-    def k(self) -> int:
-        return self.vector.shape[0] if self.vector is not None else self.matrix.shape[0]
-
-    def as_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return np.outer(self.vector, self.vector)
+def _check_finite(data) -> np.ndarray:
+    data = np.atleast_1d(np.asarray(data, dtype=float))
+    if not np.isfinite(data).all():
+        first = tuple(np.argwhere(~np.isfinite(data))[0])
+        raise NonFiniteAtom(f"atom {first[0]} has a non-finite entry ({data[first]})")
+    return data
 
 
 class AtomSet:
@@ -91,25 +61,18 @@ class AtomSet:
         self.data = data
         self.k = data.shape[1]
 
+    # A pool enters through these two constructors, which reject NaN and
+    # infinite entries whatever ``validate`` says; subset() skips the check.
     @classmethod
     def from_vectors(cls, X) -> "AtomSet":
-        return cls("vector", X)
+        return cls("vector", _check_finite(X))
 
     @classmethod
     def from_matrices(cls, mats, *, validate: bool = True) -> "AtomSet":
-        return cls("matrix", mats, validate=validate)
+        return cls("matrix", _check_finite(mats), validate=validate)
 
     def __len__(self) -> int:
         return self.data.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def __getitem__(self, i: int) -> InfoAtom:
-        if self.kind == "vector":
-            return InfoAtom(vector=self.data[i])
-        return InfoAtom(matrix=self.data[i])
 
     def subset(self, idx) -> "AtomSet":
         return AtomSet(self.kind, self.data[idx], validate=False)
@@ -145,28 +108,15 @@ class AtomSet:
 
 
 def as_atom_set(atoms) -> AtomSet:
-    """Normalize lists of atoms or raw arrays into an AtomSet."""
+    """Return an AtomSet as is; wrap an array-like of shape (N, k) or (N, k, k)."""
     if isinstance(atoms, AtomSet):
         return atoms
-    if isinstance(atoms, np.ndarray):
-        if atoms.ndim == 2:
-            return AtomSet.from_vectors(atoms)
-        if atoms.ndim == 3:
-            return AtomSet.from_matrices(atoms)
-        raise DimensionMismatch("atom array must be (N, k) or (N, k, k)")
-    items = list(atoms)
-    if not items:
-        raise ValueError("empty atom collection")
-    norm = []
-    for a in items:
-        if isinstance(a, InfoAtom):
-            norm.append(a)
-        else:
-            arr = np.asarray(a, dtype=float)
-            norm.append(InfoAtom(vector=arr) if arr.ndim == 1 else InfoAtom(matrix=arr))
-    ks = {a.k for a in norm}
-    if len(ks) != 1:
-        raise DimensionMismatch(f"atoms have mixed dimensions {sorted(ks)}")
-    if all(a.vector is not None for a in norm):
-        return AtomSet.from_vectors(np.stack([a.vector for a in norm]))
-    return AtomSet.from_matrices(np.stack([a.as_matrix() for a in norm]), validate=False)
+    try:
+        arr = np.asarray(atoms, dtype=float)
+    except ValueError:  # ragged nesting
+        raise DimensionMismatch("atoms have mixed shapes") from None
+    if arr.ndim == 2:
+        return AtomSet.from_vectors(arr)
+    if arr.ndim == 3:
+        return AtomSet.from_matrices(arr)
+    raise DimensionMismatch(f"atom array must be (N, k) or (N, k, k), got shape {arr.shape}")

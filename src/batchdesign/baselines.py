@@ -43,14 +43,6 @@ def _tied_argmin(values: np.ndarray, orig_idx: np.ndarray) -> int:
     return int(ties[np.argmin(orig_idx[ties])])
 
 
-def _tied_argmax(values: np.ndarray, orig_idx: np.ndarray) -> int:
-    best = values.max()
-    ties = np.flatnonzero(values == best)
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[np.argmin(orig_idx[ties])])
-
-
 def _sample_phi0(X: np.ndarray, idx: np.ndarray) -> float:
     """Determinant-criterion value of the uniform measure on the sample."""
     n = idx.shape[0]
@@ -150,7 +142,7 @@ def exchange_select(atoms, n: int, max_sweeps: int = 20000) -> BaselineResult:
         if outs.size == 0:
             break
         i_out = ins[_tied_argmin(lev[ins], all_idx[ins])]
-        j_in = outs[_tied_argmax(lev[outs], all_idx[outs])]
+        j_in = outs[_tied_argmin(-lev[outs], all_idx[outs])]
 
         a = 1.0 - lev[i_out]
         if a <= _DEGENERATE:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .atoms import AtomSet
 from .baselines import backward_select, exchange_select
-from .criteria import CriterionSpec, build_info_state, phi_p_value
+from .criteria import CriterionSpec, build_info_state
 from .measures import Measure, measure_of_sample, round_to_sample
 from .solvers import SolverConfig, efficiency_bounds, solve_hybrid
 
@@ -31,7 +31,7 @@ def _solve_reference(atoms: AtomSet, spec: CriterionSpec, n: int) -> Measure:
 
 def _phi_of_sample(atoms: AtomSet, spec: CriterionSpec, sample) -> float:
     w = measure_of_sample(sample, len(atoms))
-    return phi_p_value(build_info_state(atoms, w.weights, spec), spec)
+    return build_info_state(atoms, w.weights, spec).phi_value
 
 
 @dataclass

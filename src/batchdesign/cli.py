@@ -22,7 +22,7 @@ import numpy as np
 
 from .atoms import AtomSet
 from .bench import REFERENCE_GAP, make_gaussian_pool, run_bench, run_cross_criteria
-from .criteria import CriterionSpec, build_info_state, phi_p_value
+from .criteria import CriterionSpec, build_info_state
 from .data_io import INTERCEPT_NAME, expand_interactions, read_dataset, write_table_csv, write_weights_csv
 from .errors import (
     DegenerateCategory,
@@ -31,6 +31,7 @@ from .errors import (
     FitDiverged,
     InfeasibleEpsilon,
     InfeasibleMass,
+    NonFiniteAtom,
     NotPSD,
     ParseError,
     PositivityRepairFailed,
@@ -238,7 +239,7 @@ def _out_dir(args) -> str:
 
 
 def _phi_of_measure(atoms, w, spec) -> float:
-    return phi_p_value(build_info_state(atoms, w.weights, spec), spec)
+    return build_info_state(atoms, w.weights, spec).phi_value
 
 
 def _select_like_results(atoms, spec, cfg, n, res, sample):
@@ -377,9 +378,7 @@ def cmd_bench(args) -> int:
     atoms, source = _bench_pool(args)
     n = _require_budget(args.n, len(atoms), allow_full=True)
     methods = [m.strip() for m in _resolved(args, "methods", "hybrid,exchange,backward").split(",") if m.strip()]
-    cfg = SolverConfig(epsilon=float(_resolved(args, "epsilon", 1.0 / n)),
-                       v0=float(_resolved(args, "v0", 1e-3)),
-                       v=float(_resolved(args, "v", 1e-3)))
+    cfg = replace(_solver_config(args, n), v=float(_resolved(args, "v", 1e-3)))
     bench = run_bench(atoms, n, p=float(_resolved(args, "p", 0.0)), methods=methods,
                       time_budget=getattr(args, "time_budget", None), solver_cfg=cfg)
 
@@ -589,7 +588,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return _HANDLERS[args.command](args)
-    except (ParseError, EmptyInput, OSError) as exc:
+    except (ParseError, EmptyInput, NonFiniteAtom, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

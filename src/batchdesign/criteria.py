@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import AtomSet, InfoAtom, as_atom_set
+from .atoms import as_atom_set
 from .errors import DimensionMismatch, SingularInformation
 
 # eigenvalue floor applied before fractional powers of Sigma
@@ -126,11 +126,6 @@ def build_info_state(atoms, w, spec: CriterionSpec) -> InfoState:
     return info_state_from_m(aset.weighted_sum(weights), spec)
 
 
-def phi_p_value(state: InfoState, spec: CriterionSpec) -> float:
-    """Criterion value from the cached Sigma eigenvalues."""
-    return _phi_from_eigs(state.sigma_eigvals, spec.p, state.sigma_eigvals.shape[0])
-
-
 def _leverage_core(state: InfoState, spec: CriterionSpec) -> tuple[float, np.ndarray]:
     """Shared coefficient and quadratic-form matrix for leverage computation.
 
@@ -142,9 +137,8 @@ def _leverage_core(state: InfoState, spec: CriterionSpec) -> tuple[float, np.nda
     lam = state.sigma_eigvals
     q = lam.shape[0]
     p = spec.p
-    phi = _phi_from_eigs(lam, p, q)
     tr_p = float(q) if p == 0.0 else float(np.sum(lam**p))
-    coef = phi / tr_p
+    coef = state.phi_value / tr_p
     if state.identity_g and spec.G is None:
         if p == 0.0:
             B = state.M_inv
@@ -171,11 +165,6 @@ def phi_p_scores(atoms, state: InfoState, spec: CriterionSpec) -> np.ndarray:
 def phi_p_leverage(atom, state: InfoState, spec: CriterionSpec) -> float:
     """Generalized leverage of a single point."""
     coef, B = _leverage_core(state, spec)
-    if isinstance(atom, InfoAtom):
-        if atom.vector is not None:
-            x = atom.vector
-            return float(coef * (x @ B @ x))
-        return float(coef * np.sum(B * atom.matrix))
     arr = np.asarray(atom, dtype=float)
     if arr.ndim == 1:
         return float(coef * (arr @ B @ arr))
@@ -201,23 +190,26 @@ def tau(w_prime, w, atoms, spec: CriterionSpec, h: float = 1e-4) -> float:
     Central second difference with step h on alpha -> Phi_p(M(alpha)); the
     blend of information matrices is linear in alpha so only two extra
     factorizations are needed.  Clamped below at zero.  If a probe point is
-    singular the step is reduced once by a factor of ten.
+    singular the step is reduced once by a factor of ten; if that probe is
+    singular too, raises SingularInformation.
     """
     aset = as_atom_set(atoms)
     M0 = aset.weighted_sum(np.asarray(getattr(w, "weights", w), dtype=float))
     M1 = aset.weighted_sum(np.asarray(getattr(w_prime, "weights", w_prime), dtype=float))
-    last_err = None
-    for step in (h, h / 10.0):
-        try:
-            return _tau_blend(M0, M1, spec, step)
-        except SingularInformation as err:
-            last_err = err
-    raise SingularInformation(f"singular probe along the blend segment: {last_err}")
+    return _tau_blend(M0, M1, spec, h)
 
 
-def _tau_blend(M0: np.ndarray, M1: np.ndarray, spec: CriterionSpec, h: float) -> float:
+def _tau_blend(M0: np.ndarray, M1: np.ndarray, spec: CriterionSpec, h: float = 1e-4) -> float:
+    """tau on the blend (1 - alpha) M0 + alpha M1 of two information matrices."""
     def value(alpha: float) -> float:
         return info_state_from_m((1.0 - alpha) * M0 + alpha * M1, spec).phi_value
 
-    second = (value(h) - 2.0 * value(0.0) + value(-h)) / (h * h)
-    return max(0.0, float(second))
+    last_err = None
+    for step in (h, h / 10.0):
+        try:
+            second = (value(step) - 2.0 * value(0.0) + value(-step)) / (step * step)
+        except SingularInformation as err:
+            last_err = err
+            continue
+        return max(0.0, float(second))
+    raise SingularInformation(f"singular probe along the blend segment: {last_err}")

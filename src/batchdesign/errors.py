@@ -47,3 +47,7 @@ class EmptyInput(DesignError):
 
 class FitDiverged(DesignError):
     """Maximum-likelihood fitting failed to converge to a usable estimate."""
+
+
+class NonFiniteAtom(DesignError):
+    """An atom has a NaN or infinite entry."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomSet, InfoAtom
+from .atoms import AtomSet
 from .errors import DegenerateCategory, DimensionMismatch, ZeroVariance
 
 # category probabilities at or below this underflow the 1/pi weight
@@ -133,10 +133,9 @@ def cumlink_atoms(Z, spec: CumulativeLinkSpec) -> AtomSet:
     return AtomSet.from_matrices(mats, validate=False)
 
 
-def cumlink_atom(z, spec: CumulativeLinkSpec) -> InfoAtom:
-    """Information atom of a single design point."""
-    aset = cumlink_atoms(np.atleast_2d(z), spec)
-    return aset[0]
+def cumlink_atom(z, spec: CumulativeLinkSpec) -> np.ndarray:
+    """Information matrix (k, k) of a single design point."""
+    return cumlink_atoms(np.atleast_2d(z), spec).data[0]
 
 
 def generic_atoms(matrices) -> AtomSet:

@@ -31,6 +31,7 @@ from .atoms import AtomSet, as_atom_set
 from .criteria import (
     CriterionSpec,
     InfoState,
+    _tau_blend,
     build_info_state,
     info_state_from_m,
     phi_p_scores,
@@ -80,7 +81,6 @@ class SolverConfig:
     inner_tol: float = 1e-10
     inner_max_iters: int = 10000
     skip_refine: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0:
@@ -235,18 +235,6 @@ def boost_alpha(eta_value: float, tau_value: float, r: float, u: float) -> float
     return min(r, max(0.0, -eta_value / (tau_value + u)))
 
 
-def _tau_fd(M0: np.ndarray, M1: np.ndarray, spec: CriterionSpec, h: float = 1e-4) -> float:
-    def value(alpha: float) -> float:
-        return info_state_from_m((1.0 - alpha) * M0 + alpha * M1, spec).phi_value
-
-    for step in (h, h / 10.0):
-        try:
-            return max(0.0, (value(step) - 2.0 * value(0.0) + value(-step)) / (step * step))
-        except SingularInformation:
-            continue
-    return 0.0
-
-
 def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec,
                 cfg: SolverConfig) -> tuple[Measure, float]:
     eta_value = ev.state.phi_value - ev.lin
@@ -254,7 +242,12 @@ def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec,
     if eta_value >= -PHI_SLACK * (1.0 + abs(ev.state.phi_value)):
         return w, 0.0
     M_sg = aset.weighted_sum(ev.sg.weights)
-    tau_value = _tau_fd(ev.state.M, M_sg, spec)
+    try:
+        tau_value = _tau_blend(ev.state.M, M_sg, spec)
+    except SingularInformation:
+        # both curvature probes left the PD cone: the step cap and the
+        # halving line search below still bound the move
+        tau_value = 0.0
     alpha = boost_alpha(eta_value, tau_value, cfg.r, cfg.u)
     if alpha <= 0.0:
         return w, 0.0
@@ -524,27 +517,6 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
                        phi_value=ev.state.phi_value, scores=ev.scores,
                        iterations={"boost": n_boost, "refine": outer},
                        inner_iterations=inner_total, inner_cap_hits=cap_hits)
-
-
-def solve_d_leverage(atoms, cfg: SolverConfig) -> SolveResult:
-    """Determinant-criterion solve on rank-one atoms using raw leverages.
-
-    Specialization of the active-set iteration with p = 0 and the identity
-    transform, where scores reduce to scaled leverages x^T M(w)^-1 x.
-    """
-    aset = as_atom_set(atoms)
-    if aset.kind != "vector":
-        raise ValueError("the determinant fast path requires rank-one atoms")
-    if cfg.epsilon is None:
-        raise ValueError("cfg.epsilon must be set")
-    eps = float(cfg.epsilon)
-    spec = CriterionSpec(p=0.0)
-    N = len(aset)
-    uniform = Measure(np.full(N, 1.0 / N), eps)
-    state_u = build_info_state(aset, uniform, spec)
-    scores_u = phi_p_scores(aset, state_u, spec)
-    w0 = psg_measure(scores_u, eps, aset, fallback=uniform)
-    return solve_active_set(w0, aset, spec, cfg)
 
 
 def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,

@@ -23,7 +23,6 @@ from batchdesign.criteria import (
     build_info_state,
     eta,
     phi_p_scores,
-    phi_p_value,
     tau,
 )
 from batchdesign.measures import measure_of_sample, round_to_sample, trichotomy_check
@@ -47,7 +46,7 @@ def _verdict(num, name, ok, detail=""):
 
 
 def _phi_of(atoms, w, spec):
-    return phi_p_value(build_info_state(atoms, w.weights, spec), spec)
+    return build_info_state(atoms, w.weights, spec).phi_value
 
 
 def _sample_efficiency(atoms, spec, sample, ref):
@@ -229,7 +228,7 @@ def test_gradient_identities_and_monotone_traces():
         w2 = random_feasible(rng, N, eps)
 
         state = build_info_state(atoms, w.weights, spec)
-        phi = phi_p_value(state, spec)
+        phi = state.phi_value
         scores = phi_p_scores(atoms, state, spec)
         if abs(float(w.weights @ scores) - phi) > 1e-8 * phi:
             bad["identity"] += 1
@@ -278,7 +277,7 @@ def test_model_adapters_match_oracles():
     aset = logistic_atoms(Z, LogisticModelSpec(beta=beta))
     pr = sigmoid(Z @ beta)
     logistic_ok = all(
-        np.allclose(aset[i].as_matrix(), pr[i] * (1.0 - pr[i]) * np.outer(Z[i], Z[i]),
+        np.allclose(np.outer(aset.data[i], aset.data[i]), pr[i] * (1.0 - pr[i]) * np.outer(Z[i], Z[i]),
                     rtol=1e-12, atol=1e-15)
         for i in range(len(aset)))
 
@@ -294,7 +293,7 @@ def test_model_adapters_match_oracles():
         z = rng.standard_normal(d)
         b = rng.uniform(-1.0, 1.0, d)
         cuts = random_cuts(J)
-        got = cumlink_atom(z, CumulativeLinkSpec(beta=b, theta_cuts=cuts)).as_matrix()
+        got = cumlink_atom(z, CumulativeLinkSpec(beta=b, theta_cuts=cuts))
         want = cumlink_info_fd(z, b, cuts)
         if not np.allclose(got, want, rtol=1e-5, atol=1e-5):
             fd_bad += 1
@@ -305,12 +304,12 @@ def test_model_adapters_match_oracles():
         z = rng.standard_normal(d)
         b = rng.uniform(-1.0, 1.0, d)
         cut = float(rng.uniform(-1.0, 1.0))
-        got = cumlink_atom(z, CumulativeLinkSpec(beta=b, theta_cuts=[cut])).as_matrix()
+        got = cumlink_atom(z, CumulativeLinkSpec(beta=b, theta_cuts=[cut]))
         # two categories collapse to a binary logit on (z, -1) with the
         # cutpoint appended as one more coefficient
         aug = np.append(z, -1.0)
         twin = logistic_atoms(aug[None, :], LogisticModelSpec(beta=np.append(b, cut)))
-        if not np.allclose(got, twin[0].as_matrix(), rtol=1e-10, atol=1e-12):
+        if not np.allclose(got, np.outer(twin.data[0], twin.data[0]), rtol=1e-10, atol=1e-12):
             reduction_bad += 1
 
     ok = logistic_ok and fd_bad == 0 and reduction_bad == 0

@@ -1,30 +1,19 @@
 import numpy as np
 import pytest
 
-from batchdesign import AtomSet, InfoAtom, as_atom_set
-from batchdesign.errors import DimensionMismatch, NotPSD
-
-
-def test_info_atom_requires_exactly_one_form():
-    with pytest.raises(ValueError):
-        InfoAtom()
-    with pytest.raises(ValueError):
-        InfoAtom(vector=np.ones(2), matrix=np.eye(2))
-
-
-def test_vector_atom_as_matrix_is_outer_product(rng):
-    x = rng.standard_normal(4)
-    a = InfoAtom(vector=x)
-    assert np.allclose(a.as_matrix(), np.outer(x, x))
-    assert a.k == 4
+from batchdesign import AtomSet, CriterionSpec, SolverConfig, as_atom_set, generic_atoms, solve_hybrid
+from batchdesign.errors import DimensionMismatch, NonFiniteAtom, NotPSD
 
 
 def test_matrix_atom_symmetrized_and_psd_checked():
     m = np.array([[1.0, 1e-12], [0.0, 2.0]])
-    a = InfoAtom(matrix=m)
-    assert np.allclose(a.matrix, a.matrix.T)
+    a = AtomSet.from_matrices(m[None]).data[0]
+    assert np.array_equal(a, a.T)
+    assert np.allclose(a, 0.5 * (m + m.T))
     with pytest.raises(NotPSD):
-        InfoAtom(matrix=np.diag([1.0, -0.1]))
+        AtomSet.from_matrices(np.diag([1.0, -0.1])[None])
+    with pytest.raises(NotPSD):
+        as_atom_set([np.eye(2), np.diag([1.0, -0.1])])
 
 
 def test_atom_set_shapes():
@@ -78,18 +67,33 @@ def test_subset_and_iteration(rng):
     sub = aset.subset([1, 3])
     assert len(sub) == 2
     assert np.allclose(sub.data[1], X[3])
-    atoms = list(aset)
-    assert np.allclose(atoms[2].vector, X[2])
+    assert sub.kind == "vector" and sub.k == 2
 
 
 def test_as_atom_set_promotions(rng):
     X = rng.standard_normal((4, 3))
     assert as_atom_set(X).kind == "vector"
+    assert np.array_equal(as_atom_set(list(X)).data, X)
     mats = np.stack([np.eye(3)] * 4)
     assert as_atom_set(mats).kind == "matrix"
-    mixed = [X[0], np.eye(3)]
-    assert as_atom_set(mixed).kind == "matrix"
-    with pytest.raises(DimensionMismatch):
-        as_atom_set([np.ones(2), np.ones(3)])
-    with pytest.raises(ValueError):
-        as_atom_set([])
+    assert as_atom_set(list(mats)).kind == "matrix"
+    aset = as_atom_set(X)
+    assert as_atom_set(aset) is aset
+    for bad in ([X[0], np.eye(3)], [np.ones(2), np.ones(3)], [], np.ones(3)):
+        with pytest.raises(DimensionMismatch):
+            as_atom_set(bad)
+
+
+def test_non_finite_pools_raise_typed_error(rng):
+    X = rng.standard_normal((20, 3))
+    X[7, 1] = np.nan
+    with pytest.raises(NonFiniteAtom, match="atom 7"):
+        AtomSet.from_vectors(X)
+    with pytest.raises(NonFiniteAtom, match="atom 7"):
+        solve_hybrid(X, CriterionSpec(p=0.0), SolverConfig(epsilon=0.1))
+    mats = np.stack([np.eye(3)] * 5)
+    mats[3, 0, 0] = np.inf
+    with pytest.raises(NonFiniteAtom, match="atom 3"):
+        generic_atoms(mats)
+    with pytest.raises(NonFiniteAtom, match="atom 3"):
+        AtomSet.from_matrices(mats, validate=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import batchdesign.bench as bench_mod
+import batchdesign.cli as cli_mod
 from batchdesign.cli import main
 from batchdesign.reports import strip_volatile, validate_report
 
@@ -118,6 +119,15 @@ def test_input_errors_exit_2(pool_csv, tmp_path):
     assert main(["select", "--input", str(bad), "--n", "1"]) == 2
 
 
+def test_non_finite_model_parameters_exit_2(pool_csv, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"beta": [float("nan"), 0.5]}))
+    assert main(["select", "--input", str(pool_csv), "--n", "5", "--model", "logistic",
+                 "--params", str(params), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "atom 0 has a non-finite entry" in err
+
+
 def test_degenerate_pool_exits_3(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("a,b\n" + "\n".join(f"{v},{2 * v}" for v in range(1, 13)) + "\n")
@@ -157,6 +167,21 @@ def test_bench_runs_all_methods(tmp_path, capsys):
         table = list(csv.DictReader(fh))
     assert [t["method"] for t in table] == ["hybrid", "exchange", "backward"]
     assert "hybrid" in capsys.readouterr().out
+
+
+def test_bench_solver_config_follows_flags(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run_bench(atoms, n, p=0.0, solver_cfg=None, **kwargs):
+        seen["cfg"] = solver_cfg
+        return bench_mod.BenchResult(N=len(atoms), k=atoms.k, n=n, p=p)
+
+    monkeypatch.setattr(cli_mod, "run_bench", fake_run_bench)
+    assert main(["bench", "--N", "60", "--k", "3", "--n", "10", "--skip-refine",
+                 "--v0", "1e-2", "--output-dir", str(tmp_path / "out")]) == 0
+    cfg = seen["cfg"]
+    assert cfg.skip_refine is True
+    assert (cfg.epsilon, cfg.v0, cfg.v) == (0.1, 1e-2, 1e-3)
 
 
 def test_bench_exit_code_reports_failed_and_nonconverged_methods(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ from batchdesign import (
     eta,
     phi_p_leverage,
     phi_p_scores,
-    phi_p_value,
     tau,
 )
 from batchdesign.criteria import info_state_from_m
@@ -188,9 +187,24 @@ def test_singular_and_shape_errors(rng):
         info_state_from_m(np.eye(3), CriterionSpec(p=1.0, G=np.ones((1, 2))))
 
 
-def test_phi_p_value_consistent_with_state(rng):
-    X = gaussian_pool(rng, 9, 3)
-    w = random_feasible(rng, 9, 0.25, measure=False)
-    spec = CriterionSpec(p=1.5)
-    state = build_info_state(X, w, spec)
-    assert phi_p_value(state, spec) == pytest.approx(state.phi_value, rel=1e-14)
+def test_tau_retries_at_smaller_step_when_probe_is_singular():
+    # M0 = diag(1, 1e-5), M1 = I: the probe at alpha = -1e-4 has a negative
+    # eigenvalue, the probes at +-1e-5 are positive definite
+    X = np.eye(2)
+    w, wp = np.array([1.0, 1e-5]), np.array([1.0, 1.0])
+    spec = CriterionSpec(p=1.0)
+
+    def value(alpha):
+        return info_state_from_m(np.diag((1.0 - alpha) * w + alpha * wp), spec).phi_value
+
+    with pytest.raises(SingularInformation):
+        value(-1e-4)
+    h = 1e-5
+    want = max(0.0, (value(h) - 2.0 * value(0.0) + value(-h)) / (h * h))
+    assert tau(wp, w, X, spec) == want
+
+
+def test_tau_raises_when_both_probes_are_singular():
+    X = np.eye(2)
+    with pytest.raises(SingularInformation):
+        tau(np.array([1.0, 1.0]), np.array([1.0, 1e-7]), X, CriterionSpec(p=1.0))

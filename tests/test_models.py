@@ -133,7 +133,7 @@ def test_cumlink_atom_matches_fd_information(rng):
             cuts[1] = cuts[0] + 0.1
         atom = cumlink_atom(z, _spec(beta, cuts))
         want = cumlink_info_fd(z, beta, cuts)
-        assert np.allclose(atom.matrix, want, rtol=1e-5, atol=1e-7)
+        assert np.allclose(atom, want, rtol=1e-5, atol=1e-7)
 
 
 def test_two_category_model_reduces_to_logistic(rng):
@@ -147,7 +147,7 @@ def test_two_category_model_reduces_to_logistic(rng):
         p = sigmoid(float(z @ beta) - theta)
         aug = np.concatenate([z, [-1.0]])
         want = p * (1.0 - p) * np.outer(aug, aug)
-        assert np.allclose(atom.matrix, want, rtol=1e-10, atol=1e-12)
+        assert np.allclose(atom, want, rtol=1e-10, atol=1e-12)
 
 
 def test_cumlink_atoms_psd_and_rank(rng):

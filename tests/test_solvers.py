@@ -14,10 +14,10 @@ from batchdesign import (
     round_to_sample,
     sg_measure,
     solve_active_set,
-    solve_d_leverage,
     solve_hybrid,
+    tau,
 )
-from batchdesign.errors import InfeasibleEpsilon
+from batchdesign.errors import InfeasibleEpsilon, SingularInformation
 
 from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible
 
@@ -178,6 +178,20 @@ def test_boost_step_descends(rng):
     assert phi_after <= gap.phi_value + 1e-12
 
 
+def test_boost_step_with_singular_curvature_probes_takes_capped_step():
+    # w is nearly singular along e_2, so both curvature probes (alpha = -1e-4
+    # and -1e-5) leave the PD cone; tau = 0 makes the step the cap r
+    X = np.eye(2)
+    spec = CriterionSpec(p=1.0)
+    w = Measure(np.array([1.0 - 1e-7, 1e-7]), 1.0)
+    sg = Measure(np.array([0.5, 0.5]), 1.0)
+    with pytest.raises(SingularInformation):
+        tau(sg, w, X, spec)
+    step = boost_step(w, sg, X, spec, _cfg(1.0))
+    assert step.alpha == 0.25
+    assert np.allclose(step.w_next.weights, 0.75 * w.weights + 0.25 * sg.weights, rtol=1e-15)
+
+
 def test_restricted_never_increases(rng):
     spec = CriterionSpec(p=2.0)
     for _ in range(5):
@@ -198,17 +212,6 @@ def test_inner_cap_hits_counted(rng):
     assert capped.trace.is_monotone()
     roomy = solve_hybrid(X, spec, _cfg(0.1, v=1e-9))
     assert roomy.converged and roomy.inner_cap_hits == 0
-
-
-def test_determinant_fast_path_agrees_with_hybrid(rng):
-    X = gaussian_pool(rng, 50, 4)
-    cfg = _cfg(0.05, v=1e-8)
-    a = solve_d_leverage(X, cfg)
-    b = solve_hybrid(X, CriterionSpec(p=0.0), cfg)
-    assert a.converged and b.converged
-    assert a.phi_value == pytest.approx(b.phi_value, rel=1e-6)
-    with pytest.raises(ValueError):
-        solve_d_leverage(np.stack([np.eye(3)] * 5), _cfg(0.5))
 
 
 def test_efficiency_bounds_bracket(rng):

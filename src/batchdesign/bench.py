@@ -9,11 +9,12 @@ import numpy as np
 
 from .atoms import AtomSet
 from .baselines import backward_select, exchange_select
-from .criteria import CriterionSpec, build_info_state
+from .criteria import CriterionSpec
 from .measures import Measure, measure_of_sample, round_to_sample
 from .solvers import SolverConfig, efficiency_bounds, solve_hybrid
 
 REFERENCE_GAP = 1e-8
+BENCH_METHODS = ("hybrid", "exchange", "backward")
 
 
 def make_gaussian_pool(N: int, k: int, rng: np.random.Generator) -> AtomSet:
@@ -27,11 +28,6 @@ def make_gaussian_pool(N: int, k: int, rng: np.random.Generator) -> AtomSet:
 def _solve_reference(atoms: AtomSet, spec: CriterionSpec, n: int) -> Measure:
     cfg = SolverConfig(epsilon=1.0 / n, v=REFERENCE_GAP)
     return solve_hybrid(atoms, spec, cfg).w
-
-
-def _phi_of_sample(atoms: AtomSet, spec: CriterionSpec, sample) -> float:
-    w = measure_of_sample(sample, len(atoms))
-    return build_info_state(atoms, w.weights, spec).phi_value
 
 
 @dataclass
@@ -63,7 +59,7 @@ class BenchResult:
 
 
 def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
-              methods=("hybrid", "exchange", "backward"),
+              methods=BENCH_METHODS,
               time_budget: float | None = None,
               solver_cfg: SolverConfig | None = None,
               reference: Measure | None = None) -> BenchResult:
@@ -119,7 +115,7 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
         result.rows.append(BenchRow(method=method, seconds=seconds,
                                     efficiency=bounds.ratio,
                                     certified=bounds.certified_lower_bound,
-                                    phi_value=_phi_of_sample(atoms, spec, sample),
+                                    phi_value=bounds.phi_candidate,
                                     note=note, status=status))
     return result
 

@@ -16,31 +16,17 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from .atoms import AtomSet
-from .bench import REFERENCE_GAP, make_gaussian_pool, run_bench, run_cross_criteria
-from .criteria import CriterionSpec, build_info_state
+from .bench import BENCH_METHODS, REFERENCE_GAP, make_gaussian_pool, run_bench, run_cross_criteria
+from .criteria import CriterionSpec
 from .data_io import INTERCEPT_NAME, expand_interactions, read_dataset, write_table_csv, write_weights_csv
-from .errors import (
-    DegenerateCategory,
-    DimensionMismatch,
-    EmptyInput,
-    FitDiverged,
-    InfeasibleEpsilon,
-    InfeasibleMass,
-    NonFiniteAtom,
-    NotPSD,
-    ParseError,
-    PositivityRepairFailed,
-    SingularInformation,
-    ZeroVariance,
-)
+from .errors import DesignError, EmptyInput, FitDiverged, NonFiniteAtom, ParseError
 from .measures import SampleSet, measure_of_sample, round_to_sample
 from .models import CumulativeLinkSpec, LogisticModelSpec, cumlink_atoms, logistic_atoms, standardize_features
-from .pipeline import bootstrap_evaluate, two_stage_select
+from .pipeline import BOOTSTRAP_METHODS, MODEL_NAMES, bootstrap_evaluate, two_stage_select
 from .reports import make_report, write_report
 from .solvers import SolverConfig, efficiency_bounds, solve_hybrid
 
@@ -50,19 +36,9 @@ EXIT_DEGENERATE = 3
 EXIT_NONCONVERGED = 4
 EXIT_FIT = 5
 
-_DEGENERATE_ERRORS = (
-    SingularInformation,
-    NotPSD,
-    DegenerateCategory,
-    PositivityRepairFailed,
-    ZeroVariance,
-    InfeasibleEpsilon,
-    InfeasibleMass,
-    DimensionMismatch,
-)
 
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """Every option's default is declared on its flag; ``config`` values replace them."""
     parser = argparse.ArgumentParser(
         prog="batchdesign",
         description="Select an informative batch of points from a candidate pool.",
@@ -71,78 +47,81 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", help="input CSV with a header row")
-        p.add_argument("--output-dir", help="directory for report.json and CSV artifacts (default .)")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+        p.add_argument("--output-dir", default=".", help="directory for report.json and CSV artifacts")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--config", help="JSON file mirroring the flags; explicit flags win")
-        p.add_argument("--threads", type=int, help="worker threads for independent jobs (default 1)")
+        p.add_argument("--threads", type=int, default=1, help="worker threads for independent jobs")
 
     def add_data(p: argparse.ArgumentParser) -> None:
         p.add_argument("--response", help="response column name (excluded from features)")
-        p.add_argument("--add-intercept", action=argparse.BooleanOptionalAction,
+        p.add_argument("--add-intercept", action=argparse.BooleanOptionalAction, default=False,
                        help="prepend an all-ones column")
         p.add_argument("--interactions", help="comma list of product columns, e.g. 'x1:x2,x3:x4'")
-        p.add_argument("--standardize", action=argparse.BooleanOptionalAction,
+        p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=False,
                        help="center/scale non-intercept columns before use")
 
-    def add_criterion(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--p", type=float, help="criterion order p >= 0 (default 0, determinant)")
+    def add_criterion(p: argparse.ArgumentParser, v: float = 1e-6) -> None:
+        p.add_argument("--p", type=float, default=0.0, help="criterion order p >= 0 (0: determinant)")
         p.add_argument("--n", type=int, help="sample budget")
-        p.add_argument("--epsilon", type=float, help="weight cap (default 1/n)")
-        p.add_argument("--v", type=float, help="target gap ratio (default 1e-6)")
-        p.add_argument("--v0", type=float, help="boost-phase gap ratio (default 1e-3)")
-        p.add_argument("--skip-refine", action=argparse.BooleanOptionalAction,
+        p.add_argument("--epsilon", type=float, help="weight cap; None means 1/n")
+        p.add_argument("--v", type=float, default=v, help="target gap ratio")
+        p.add_argument("--v0", type=float, default=1e-3, help="boost-phase gap ratio")
+        p.add_argument("--skip-refine", action=argparse.BooleanOptionalAction, default=False,
                        help="stop after the boost phase")
 
     def add_model(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", choices=["none", "logistic", "cumlink"],
-                       help="atom model (default none: rows are regression vectors)")
+        p.add_argument("--model", choices=["none", "logistic", "cumlink"], default="none",
+                       help="atom model (none: rows are regression vectors)")
         p.add_argument("--params", help="JSON file with working parameters (beta, theta_cuts)")
-        p.add_argument("--focus", choices=["all", "beta"],
+        p.add_argument("--focus", choices=["all", "beta"], default="all",
                        help="parameters of interest (beta restricts to regression coefficients)")
+
+    def add_pool(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--N", type=int, default=10000, help="pool size for synthetic data")
+        p.add_argument("--k", type=int, default=11, help="dimension for synthetic data")
+
+    def add_fit(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--model", choices=MODEL_NAMES, help="model fitted to the labelled sample")
+        p.add_argument("--r", type=float, default=0.4, help="stage-one fraction of the budget")
 
     p_select = sub.add_parser("select", help="solve the relaxation and round to a sample")
     for add in (add_common, add_data, add_criterion, add_model):
         add(p_select)
 
     p_eff = sub.add_parser("efficiency", help="certify a given candidate sample")
-    for add in (add_common, add_data, add_criterion, add_model):
+    for add in (add_common, add_data, lambda p: add_criterion(p, v=REFERENCE_GAP), add_model):
         add(p_eff)
     p_eff.add_argument("--candidate", help="file listing candidate indices, one per line")
 
     p_bench = sub.add_parser("bench", help="time selection methods on one instance")
-    add_common(p_bench)
-    add_criterion(p_bench)
-    p_bench.add_argument("--N", type=int, help="pool size for synthetic data (default 10000)")
-    p_bench.add_argument("--k", type=int, help="dimension for synthetic data (default 11)")
-    p_bench.add_argument("--methods", help="comma list from hybrid,exchange,backward")
+    for add in (add_common, lambda p: add_criterion(p, v=1e-3), add_pool):
+        add(p_bench)
+    p_bench.add_argument("--methods", default=",".join(BENCH_METHODS), help="comma list of methods")
     p_bench.add_argument("--time-budget", type=float, help="skip methods expected to exceed this many seconds")
 
     p_cross = sub.add_parser("cross-criteria", help="score each criterion's sample under the other")
-    add_common(p_cross)
-    p_cross.add_argument("--N", type=int, help="pool size for synthetic data (default 10000)")
-    p_cross.add_argument("--k", type=int, help="dimension for synthetic data (default 11)")
-    p_cross.add_argument("--ns", help="comma list of budgets (default 500,1000,3000,5000)")
-    p_cross.add_argument("--v", type=float, help="solve tolerance (default 1e-8)")
+    for add in (add_common, add_pool):
+        add(p_cross)
+    p_cross.add_argument("--ns", default="500,1000,3000,5000", help="comma list of budgets")
+    p_cross.add_argument("--v", type=float, default=REFERENCE_GAP, help="solve tolerance")
 
     p_two = sub.add_parser("two-stage", help="random pilot, fit, then designed completion")
-    for add in (add_common, add_data, add_criterion):
+    for add in (add_common, add_data, add_criterion, add_fit):
         add(p_two)
-    p_two.add_argument("--model", choices=["logistic", "cumlink"], help="model fitted on stage one")
-    p_two.add_argument("--r", type=float, help="stage-one fraction of the budget (default 0.4)")
 
     p_boot = sub.add_parser("bootstrap-eval", help="bootstrap MSE comparison of sampling methods")
-    for add in (add_common, add_data, add_criterion):
+    for add in (add_common, add_data, add_criterion, add_fit):
         add(p_boot)
-    p_boot.add_argument("--model", choices=["logistic", "cumlink"], help="model fitted on each sample")
-    p_boot.add_argument("--r", type=float, help="stage-one fraction for two-stage (default 0.4)")
-    p_boot.add_argument("--B", type=int, help="bootstrap replicates (default 200)")
-    p_boot.add_argument("--methods", help="comma list from two-stage,random")
+    p_boot.add_argument("--B", type=int, default=200, help="bootstrap replicates")
+    p_boot.add_argument("--methods", default=",".join(BOOTSTRAP_METHODS), help="comma list of methods")
+    for p in sub.choices.values():
+        p.formatter_class = argparse.ArgumentDefaultsHelpFormatter
+        p.set_defaults(**(config or {}))
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _load_config(args: argparse.Namespace) -> dict:
+    """The --config file's option values by flag dest, without the nulls."""
     try:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -150,26 +129,25 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ParseError(f"{args.config}: invalid JSON ({exc})") from None
     if not isinstance(loaded, dict):
         raise ParseError(f"{args.config}: expected a JSON object of option values")
+    values = {}
     for key, value in loaded.items():
         attr = key.replace("-", "_").lstrip("_")
         if not hasattr(args, attr):
             raise ParseError(f"{args.config}: unknown option {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-
-
-def _resolved(args, name, default):
-    value = getattr(args, name, None)
-    return default if value is None else value
+        # the subcommand is always given on the command line, so it wins
+        if value is not None and attr != "command":
+            values[attr] = value
+    return values
 
 
 def _load_features(args):
     if not args.input:
         raise ParseError("--input is required for this command")
+    # bench and cross-criteria take --input without the feature-transform flags
     ds = read_dataset(args.input, response_col=getattr(args, "response", None),
-                      add_intercept=bool(_resolved(args, "add_intercept", False)))
+                      add_intercept=bool(getattr(args, "add_intercept", False)))
     Z, names = expand_interactions(ds.Z, ds.feature_names, getattr(args, "interactions", None))
-    if _resolved(args, "standardize", False):
+    if getattr(args, "standardize", False):
         keep = tuple(i for i, name in enumerate(names) if name == INTERCEPT_NAME)
         Z = standardize_features(Z, intercept_cols=keep).Z
     return Z, names, ds.y
@@ -189,15 +167,14 @@ def _load_params(args) -> dict:
 
 
 def _build_atoms(args, Z: np.ndarray):
-    """Returns (atoms, G, model_info) for the resolved model choice."""
-    model = _resolved(args, "model", "none")
-    if model == "none":
+    """Returns (atoms, G, model_info) for the chosen model."""
+    if args.model == "none":
         return AtomSet.from_vectors(Z), None, {"model": "none"}
     raw = _load_params(args)
     if "beta" not in raw:
         raise ParseError(f"{args.params}: missing 'beta'")
     beta = np.asarray(raw["beta"], dtype=float)
-    if model == "logistic":
+    if args.model == "logistic":
         atoms = logistic_atoms(Z, LogisticModelSpec(beta))
         return atoms, None, {"model": "logistic", "beta": beta.tolist()}
     if "theta_cuts" not in raw:
@@ -206,19 +183,18 @@ def _build_atoms(args, Z: np.ndarray):
     spec = CumulativeLinkSpec(beta, theta)
     atoms = cumlink_atoms(Z, spec)
     G = None
-    if _resolved(args, "focus", "all") == "beta":
+    if args.focus == "beta":
         d = beta.shape[0]
         G = np.hstack([np.eye(d), np.zeros((d, spec.k - d))])
     return atoms, G, {"model": "cumlink", "beta": beta.tolist(), "theta_cuts": theta.tolist()}
 
 
 def _solver_config(args, n: int) -> SolverConfig:
-    eps = _resolved(args, "epsilon", 1.0 / n)
     return SolverConfig(
-        epsilon=float(eps),
-        v0=float(_resolved(args, "v0", 1e-3)),
-        v=float(_resolved(args, "v", 1e-6)),
-        skip_refine=bool(_resolved(args, "skip_refine", False)),
+        epsilon=float(1.0 / n if args.epsilon is None else args.epsilon),
+        v0=float(args.v0),
+        v=float(args.v),
+        skip_refine=bool(args.skip_refine),
     )
 
 
@@ -232,36 +208,43 @@ def _require_budget(n, N, allow_full=False) -> int:
     return n
 
 
+def _comma_list(value, flag: str, allowed=None) -> list:
+    """Items of a comma-list flag: names from ``allowed``, or integers when it is None."""
+    tokens = str(value).replace(",", " ").split()
+    try:
+        items = [tok if allowed else int(tok) for tok in tokens]
+    except ValueError:
+        items = []
+    if not items or len(set(items)) < len(items) or (allowed and not set(items) <= set(allowed)):
+        expected = f"distinct names from {','.join(allowed)}" if allowed else "distinct integers"
+        raise ParseError(f"{flag} {value!r}: expected a comma list of {expected}")
+    return items
+
+
 def _out_dir(args) -> str:
-    out = _resolved(args, "output_dir", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.output_dir, exist_ok=True)
+    return args.output_dir
 
 
-def _phi_of_measure(atoms, w, spec) -> float:
-    return build_info_state(atoms, w.weights, spec).phi_value
+def _write_report(args, t0: float, params: dict, results: dict, timings: dict | None = None,
+                  converged: bool = True, artifacts: dict | None = None) -> None:
+    """Stamp the command, seed and total time since t0, and write report.json."""
+    timings = {"total_seconds": time.perf_counter() - t0, **(timings or {})}
+    report = make_report(args.command, params, results, timings, args.seed, converged, artifacts)
+    write_report(os.path.join(_out_dir(args), "report.json"), report)
 
 
-def _select_like_results(atoms, spec, cfg, n, res, sample):
-    w_sample = measure_of_sample(sample, len(atoms))
-    ref = res.w
-    bounds = efficiency_bounds(w_sample, ref, atoms, spec)
-    return {
-        "N": len(atoms),
-        "k": atoms.k,
-        "n": n,
-        "p": spec.p,
-        "epsilon": cfg.epsilon,
-        "target_gap": cfg.target_gap,
-        "selected_indices": [int(i) for i in sample.indices],
-        "phi_relaxed": float(res.phi_value),
-        "phi_sample": float(_phi_of_measure(atoms, w_sample, spec)),
-        "gap_ratio": float(res.gap_ratio),
-        "efficiency_ratio": float(bounds.ratio),
-        "certified_lower_bound": float(bounds.certified_lower_bound),
-        "iterations": {k: int(v) for k, v in res.iterations.items()},
-        "inner_iterations": int(res.inner_iterations),
-    }
+def _solve_for_sample(args, atoms: AtomSet, G, n: int):
+    """Solve the relaxation that certifies size-n samples: (spec, cfg, result, seconds)."""
+    # n rank-one atoms span at most n directions; a matrix atom can span more
+    if atoms.kind == "vector" and n < atoms.k:
+        raise ParseError(f"n = {n} points are fewer than the k = {atoms.k} parameters, "
+                         "so the sample's information matrix is singular")
+    spec = CriterionSpec(p=float(args.p), G=G)
+    cfg = _solver_config(args, n)
+    t_solve = time.perf_counter()
+    res = solve_hybrid(atoms, spec, cfg)
+    return spec, cfg, res, time.perf_counter() - t_solve
 
 
 def cmd_select(args) -> int:
@@ -269,32 +252,36 @@ def cmd_select(args) -> int:
     Z, names, _ = _load_features(args)
     atoms, G, model_info = _build_atoms(args, Z)
     n = _require_budget(args.n, len(atoms))
-    spec = CriterionSpec(p=float(_resolved(args, "p", 0.0)), G=G)
-    cfg = _solver_config(args, n)
-    t_solve = time.perf_counter()
-    res = solve_hybrid(atoms, spec, cfg)
-    solve_seconds = time.perf_counter() - t_solve
+    spec, cfg, res, solve_seconds = _solve_for_sample(args, atoms, G, n)
     sample = round_to_sample(res.w, n, res.scores)
 
-    out = _out_dir(args)
-    weights_path = os.path.join(out, "weights.csv")
+    weights_path = os.path.join(_out_dir(args), "weights.csv")
     write_weights_csv(weights_path, res.w.weights, res.scores, sample.indices)
-    results = _select_like_results(atoms, spec, cfg, n, res, sample)
-    timings = {"total_seconds": time.perf_counter() - t0, "solve_seconds": solve_seconds}
+    bounds = efficiency_bounds(measure_of_sample(sample, len(atoms)), res.w, atoms, spec)
+    timings = {"solve_seconds": solve_seconds}
     timings.update({f"{k}_seconds": v for k, v in res.trace.phase_seconds().items()})
-    report = make_report(
-        command="select",
+    _write_report(
+        args, t0,
         params={"input": args.input, "feature_names": list(names), **model_info,
                 "n": n, "p": spec.p, "epsilon": cfg.epsilon, "v": cfg.v, "v0": cfg.v0},
-        results=results,
+        results={
+            "N": len(atoms), "k": atoms.k, "n": n, "p": spec.p,
+            "epsilon": cfg.epsilon, "target_gap": cfg.target_gap,
+            "selected_indices": [int(i) for i in sample.indices],
+            "phi_relaxed": float(res.phi_value),
+            "phi_sample": bounds.phi_candidate,
+            "gap_ratio": float(res.gap_ratio),
+            "efficiency_ratio": bounds.ratio,
+            "certified_lower_bound": bounds.certified_lower_bound,
+            "iterations": {k: int(v) for k, v in res.iterations.items()},
+            "inner_iterations": int(res.inner_iterations),
+        },
         timings=timings,
-        seed=_resolved(args, "seed", 0),
         converged=bool(res.converged),
         artifacts={"weights": weights_path},
     )
-    write_report(os.path.join(out, "report.json"), report)
     print(f"selected {n} of {len(atoms)} points; gap_ratio {res.gap_ratio:.3e}; "
-          f"certified efficiency >= {results['certified_lower_bound']:.6f}")
+          f"certified efficiency >= {bounds.certified_lower_bound:.6f}")
     return EXIT_OK if res.converged else EXIT_NONCONVERGED
 
 
@@ -326,39 +313,30 @@ def cmd_efficiency(args) -> int:
     t0 = time.perf_counter()
     Z, names, _ = _load_features(args)
     atoms, G, model_info = _build_atoms(args, Z)
-    if not getattr(args, "candidate", None):
+    if not args.candidate:
         raise ParseError("--candidate is required for the efficiency command")
     indices = _read_candidate_indices(args.candidate, len(atoms))
     n = len(indices)
-    spec = CriterionSpec(p=float(_resolved(args, "p", 0.0)), G=G)
-    cfg = _solver_config(args, n)
-    cfg = replace(cfg, v=float(_resolved(args, "v", REFERENCE_GAP)))
-    t_solve = time.perf_counter()
-    res = solve_hybrid(atoms, spec, cfg)
-    solve_seconds = time.perf_counter() - t_solve
+    spec, cfg, res, solve_seconds = _solve_for_sample(args, atoms, G, n)
     w_cand = measure_of_sample(SampleSet(tuple(indices)), len(atoms))
     bounds = efficiency_bounds(w_cand, res.w, atoms, spec)
 
-    out = _out_dir(args)
-    results = {
-        "N": len(atoms), "k": atoms.k, "n": n, "p": spec.p, "epsilon": cfg.epsilon,
-        "candidate_indices": indices,
-        "phi_candidate": float(_phi_of_measure(atoms, w_cand, spec)),
-        "phi_relaxed": float(res.phi_value),
-        "solved_gap_ratio": float(bounds.solved_gap_ratio),
-        "efficiency_ratio": float(bounds.ratio),
-        "certified_lower_bound": float(bounds.certified_lower_bound),
-    }
-    report = make_report(
-        command="efficiency",
+    _write_report(
+        args, t0,
         params={"input": args.input, "candidate": args.candidate, **model_info,
                 "n": n, "p": spec.p, "epsilon": cfg.epsilon, "v": cfg.v},
-        results=results,
-        timings={"total_seconds": time.perf_counter() - t0, "solve_seconds": solve_seconds},
-        seed=_resolved(args, "seed", 0),
+        results={
+            "N": len(atoms), "k": atoms.k, "n": n, "p": spec.p, "epsilon": cfg.epsilon,
+            "candidate_indices": indices,
+            "phi_candidate": bounds.phi_candidate,
+            "phi_relaxed": float(res.phi_value),
+            "solved_gap_ratio": bounds.solved_gap_ratio,
+            "efficiency_ratio": bounds.ratio,
+            "certified_lower_bound": bounds.certified_lower_bound,
+        },
+        timings={"solve_seconds": solve_seconds},
         converged=bool(res.converged),
     )
-    write_report(os.path.join(out, "report.json"), report)
     print(f"efficiency {bounds.ratio:.6f} (certified >= {bounds.certified_lower_bound:.6f})")
     return EXIT_OK if res.converged else EXIT_NONCONVERGED
 
@@ -367,48 +345,42 @@ def _bench_pool(args):
     if args.input:
         Z, _, _ = _load_features(args)
         return AtomSet.from_vectors(Z), {"input": args.input}
-    N = int(_resolved(args, "N", 10000))
-    k = int(_resolved(args, "k", 11))
-    rng = np.random.default_rng(_resolved(args, "seed", 0))
+    N, k = int(args.N), int(args.k)
+    rng = np.random.default_rng(args.seed)
     return make_gaussian_pool(N, k, rng), {"synthetic": True, "N": N, "k": k}
 
 
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
+    methods = _comma_list(args.methods, "--methods", BENCH_METHODS)
     atoms, source = _bench_pool(args)
     n = _require_budget(args.n, len(atoms), allow_full=True)
-    methods = [m.strip() for m in _resolved(args, "methods", "hybrid,exchange,backward").split(",") if m.strip()]
-    cfg = replace(_solver_config(args, n), v=float(_resolved(args, "v", 1e-3)))
-    bench = run_bench(atoms, n, p=float(_resolved(args, "p", 0.0)), methods=methods,
-                      time_budget=getattr(args, "time_budget", None), solver_cfg=cfg)
+    cfg = _solver_config(args, n)
+    bench = run_bench(atoms, n, p=float(args.p), methods=methods,
+                      time_budget=args.time_budget, solver_cfg=cfg)
 
-    out = _out_dir(args)
-    table_path = os.path.join(out, "table.csv")
+    table_path = os.path.join(_out_dir(args), "table.csv")
     write_table_csv(table_path,
                     ["method", "seconds", "efficiency", "certified_lower_bound", "phi_sample", "note"],
                     [[r.method, float(r.seconds), float(r.efficiency), float(r.certified),
                       float(r.phi_value), r.note] for r in bench.rows])
-    results = {
-        "N": bench.N, "k": bench.k, "n": bench.n, "p": bench.p,
-        "rows": [{"method": r.method,
-                  "efficiency": None if np.isnan(r.efficiency) else float(r.efficiency),
-                  "certified_lower_bound": None if np.isnan(r.certified) else float(r.certified),
-                  "phi_sample": None if np.isnan(r.phi_value) else float(r.phi_value),
-                  "note": r.note} for r in bench.rows],
-    }
-    timings = {"total_seconds": time.perf_counter() - t0}
-    timings.update({f"{r.method}_seconds": float(r.seconds) for r in bench.rows if np.isfinite(r.seconds)})
     statuses = {r.status for r in bench.rows}
-    report = make_report(
-        command="bench",
-        params={**source, "n": n, "p": float(_resolved(args, "p", 0.0)), "methods": methods,
+    _write_report(
+        args, t0,
+        params={**source, "n": n, "p": float(args.p), "methods": methods,
                 "v": cfg.v, "epsilon": cfg.epsilon},
-        results=results,
-        timings=timings,
-        seed=_resolved(args, "seed", 0),
+        results={
+            "N": bench.N, "k": bench.k, "n": bench.n, "p": bench.p,
+            "rows": [{"method": r.method,
+                      "efficiency": None if np.isnan(r.efficiency) else float(r.efficiency),
+                      "certified_lower_bound": None if np.isnan(r.certified) else float(r.certified),
+                      "phi_sample": None if np.isnan(r.phi_value) else float(r.phi_value),
+                      "note": r.note} for r in bench.rows],
+        },
+        timings={f"{r.method}_seconds": float(r.seconds) for r in bench.rows if np.isfinite(r.seconds)},
         converged="nonconverged" not in statuses,
+        artifacts={"table": table_path},
     )
-    write_report(os.path.join(out, "report.json"), report)
     for r in bench.rows:
         print(f"{r.method:>9}: {r.seconds:8.3f}s  efficiency {r.efficiency:.7f}  {r.note}")
         if r.status in ("failed", "nonconverged"):
@@ -420,67 +392,60 @@ def cmd_bench(args) -> int:
 
 def cmd_cross_criteria(args) -> int:
     t0 = time.perf_counter()
+    ns = _comma_list(args.ns, "--ns")
     atoms, source = _bench_pool(args)
-    ns = [int(x) for x in str(_resolved(args, "ns", "500,1000,3000,5000")).replace(",", " ").split()]
     bad = [n for n in ns if not 0 < n <= len(atoms)]
     if bad:
         raise ParseError(f"budgets out of range (0, {len(atoms)}]: {bad}")
-    rows = run_cross_criteria(atoms, ns, v=float(_resolved(args, "v", REFERENCE_GAP)))
+    rows = run_cross_criteria(atoms, ns, v=float(args.v))
 
-    out = _out_dir(args)
-    table_path = os.path.join(out, "table.csv")
+    table_path = os.path.join(_out_dir(args), "table.csv")
     write_table_csv(table_path, ["n", "a_eff_of_d", "d_eff_of_a"],
                     [[r.n, float(r.a_eff_of_d), float(r.d_eff_of_a)] for r in rows])
-    report = make_report(
-        command="cross-criteria",
+    _write_report(
+        args, t0,
         params={**source, "ns": ns},
         results={"rows": [{"n": r.n, "a_eff_of_d": float(r.a_eff_of_d),
                            "d_eff_of_a": float(r.d_eff_of_a)} for r in rows]},
-        timings={"total_seconds": time.perf_counter() - t0},
-        seed=_resolved(args, "seed", 0),
-        converged=True,
         artifacts={"table": table_path},
     )
-    write_report(os.path.join(out, "report.json"), report)
     for r in rows:
         print(f"n={r.n:>6}  A-eff of D-sample {r.a_eff_of_d:.4f}  D-eff of A-sample {r.d_eff_of_a:.4f}")
     return EXIT_OK
 
 
 def _labeled_data(args):
-    if not getattr(args, "response", None):
+    if not args.response:
         raise ParseError("--response is required for model fitting commands")
     Z, names, y = _load_features(args)
     if y is None:
         raise ParseError("input has no response column")
+    if args.model is None:
+        raise ParseError(f"--model is required for the {args.command} command")
     return Z, names, y
 
 
 def cmd_two_stage(args) -> int:
     t0 = time.perf_counter()
     Z, names, y = _labeled_data(args)
-    model = _resolved(args, "model", None)
-    if model is None:
-        raise ParseError("--model is required for the two-stage command")
     n = _require_budget(args.n, Z.shape[0])
-    r_frac = float(_resolved(args, "r", 0.4))
+    r_frac = float(args.r)
     if not 0 < r_frac <= 1:
         raise ParseError(f"stage-one fraction r = {r_frac} must lie in (0, 1]")
-    p = float(_resolved(args, "p", 0.0))
+    p = float(args.p)
     cfg = _solver_config(args, n)
-    rng = np.random.default_rng(_resolved(args, "seed", 0))
+    rng = np.random.default_rng(args.seed)
     t_solve = time.perf_counter()
-    ts = two_stage_select(Z, y, model, n, r_frac, p, cfg, rng)
+    ts = two_stage_select(Z, y, args.model, n, r_frac, p, cfg, rng)
     solve_seconds = time.perf_counter() - t_solve
 
-    out = _out_dir(args)
     artifacts = {}
     if ts.solve is not None:
-        weights_path = os.path.join(out, "weights.csv")
+        weights_path = os.path.join(_out_dir(args), "weights.csv")
         write_weights_csv(weights_path, ts.solve.w.weights, ts.solve.scores, ts.combined.indices)
         artifacts["weights"] = weights_path
     results = {
-        "N": Z.shape[0], "n": n, "r": r_frac, "p": p, "model": model,
+        "N": Z.shape[0], "n": n, "r": r_frac, "p": p, "model": args.model,
         "n_stage1": len(ts.stage1.indices),
         "stage1_indices": [int(i) for i in ts.stage1.indices],
         "combined_indices": [int(i) for i in ts.combined.indices],
@@ -495,17 +460,15 @@ def cmd_two_stage(args) -> int:
         results["phi_relaxed"] = float(ts.solve.phi_value)
         results["gap_ratio"] = float(ts.solve.gap_ratio)
         converged = bool(ts.solve.converged)
-    report = make_report(
-        command="two-stage",
-        params={"input": args.input, "response": args.response, "model": model,
+    _write_report(
+        args, t0,
+        params={"input": args.input, "response": args.response, "model": args.model,
                 "n": n, "r": r_frac, "p": p, "epsilon": cfg.epsilon, "v": cfg.v},
         results=results,
-        timings={"total_seconds": time.perf_counter() - t0, "solve_seconds": solve_seconds},
-        seed=_resolved(args, "seed", 0),
+        timings={"solve_seconds": solve_seconds},
         converged=converged,
         artifacts=artifacts,
     )
-    write_report(os.path.join(out, "report.json"), report)
     print(f"two-stage sample: {len(ts.stage1.indices)} random + "
           f"{len(ts.combined.indices) - len(ts.stage1.indices)} designed of {Z.shape[0]}")
     return EXIT_OK if converged else EXIT_NONCONVERGED
@@ -513,61 +476,48 @@ def cmd_two_stage(args) -> int:
 
 def cmd_bootstrap_eval(args) -> int:
     t0 = time.perf_counter()
+    methods = _comma_list(args.methods, "--methods", BOOTSTRAP_METHODS)
     Z, names, y = _labeled_data(args)
-    model = _resolved(args, "model", None)
-    if model is None:
-        raise ParseError("--model is required for the bootstrap-eval command")
     n = _require_budget(args.n, Z.shape[0])
-    B = int(_resolved(args, "B", 200))
+    B = int(args.B)
     if B < 1:
         raise ParseError(f"B = {B} must be >= 1")
-    r_frac = float(_resolved(args, "r", 0.4))
-    p = float(_resolved(args, "p", 0.0))
-    methods = [m.strip() for m in _resolved(args, "methods", "two-stage,random").split(",") if m.strip()]
+    r_frac = float(args.r)
+    p = float(args.p)
     cfg = _solver_config(args, n)
-    seed = int(_resolved(args, "seed", 0))
-    threads = int(_resolved(args, "threads", 1))
+    threads = int(args.threads)
 
-    boot = bootstrap_evaluate(Z, y, model, methods, n, r_frac, p, B, cfg, seed, threads=threads)
+    boot = bootstrap_evaluate(Z, y, args.model, methods, n, r_frac, p, B, cfg, args.seed,
+                              threads=threads)
 
+    has_random = any(m.name == "random" for m in boot.methods)
+    ratios = {m.name: float(boot.ratio_to_random(m.name)) if has_random else None for m in boot.methods}
     out = _out_dir(args)
     table_path = os.path.join(out, "table.csv")
-    has_random = any(m.name == "random" for m in boot.methods)
-    write_table_csv(
-        table_path,
-        ["method", "total_mse", "ratio_to_random", "failed_replicates"],
-        [[m.name, float(m.total_mse),
-          float(boot.ratio_to_random(m.name)) if has_random else None,
-          m.failures] for m in boot.methods])
+    write_table_csv(table_path, ["method", "total_mse", "ratio_to_random", "failed_replicates"],
+                    [[m.name, float(m.total_mse), ratios[m.name], m.failures] for m in boot.methods])
     comp_path = os.path.join(out, "components.csv")
-    write_table_csv(
-        comp_path,
-        ["method", "component", "mse"],
-        [[m.name, j, float(v)] for m in boot.methods for j, v in enumerate(m.component_mse)])
-    results = {
-        "N": Z.shape[0], "n": n, "B": B, "r": r_frac, "p": p, "model": model,
-        "used_replicates": boot.used_replicates,
-        "failed_replicates": boot.failed_replicates,
-        "reference_beta": boot.reference_beta.tolist(),
-        "methods": [{"name": m.name, "total_mse": float(m.total_mse),
-                     "component_mse": m.component_mse.tolist(),
-                     "ratio_to_random": float(boot.ratio_to_random(m.name)) if has_random else None}
-                    for m in boot.methods],
-    }
-    report = make_report(
-        command="bootstrap-eval",
-        params={"input": args.input, "response": args.response, "model": model,
+    write_table_csv(comp_path, ["method", "component", "mse"],
+                    [[m.name, j, float(v)] for m in boot.methods for j, v in enumerate(m.component_mse)])
+    _write_report(
+        args, t0,
+        params={"input": args.input, "response": args.response, "model": args.model,
                 "n": n, "B": B, "r": r_frac, "p": p, "methods": methods,
                 "epsilon": cfg.epsilon, "threads": threads},
-        results=results,
-        timings={"total_seconds": time.perf_counter() - t0},
-        seed=seed,
-        converged=True,
+        results={
+            "N": Z.shape[0], "n": n, "B": B, "r": r_frac, "p": p, "model": args.model,
+            "used_replicates": boot.used_replicates,
+            "failed_replicates": boot.failed_replicates,
+            "reference_beta": boot.reference_beta.tolist(),
+            "methods": [{"name": m.name, "total_mse": float(m.total_mse),
+                         "component_mse": m.component_mse.tolist(),
+                         "ratio_to_random": ratios[m.name]}
+                        for m in boot.methods],
+        },
         artifacts={"table": table_path, "components": comp_path},
     )
-    write_report(os.path.join(out, "report.json"), report)
     for m in boot.methods:
-        ratio = f"  ratio {boot.ratio_to_random(m.name):.4f}" if has_random else ""
+        ratio = f"  ratio {ratios[m.name]:.4f}" if has_random else ""
         print(f"{m.name:>10}: total MSE {m.total_mse:.6g}{ratio}")
     return EXIT_OK
 
@@ -583,24 +533,21 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            args = build_parser(_load_config(args)).parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (ParseError, EmptyInput, NonFiniteAtom, OSError) as exc:
+    except (ParseError, EmptyInput, NonFiniteAtom, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _DEGENERATE_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except FitDiverged as exc:
         print(f"error: model fit failed: {exc} (a larger stage-one fraction may help)",
               file=sys.stderr)
         return EXIT_FIT
+    except DesignError as exc:  # every other library error: a singular or degenerate instance
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

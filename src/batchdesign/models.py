@@ -28,6 +28,13 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} has a non-finite entry: {values.tolist()}")
+    return values
+
+
 _LINKS = {
     # inverse link and its derivative
     "logit": (_sigmoid, lambda t: _sigmoid(t) * (1.0 - _sigmoid(t))),
@@ -42,7 +49,7 @@ class LogisticModelSpec:
     add_intercept: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
+        object.__setattr__(self, "beta", _finite("beta", self.beta))
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,8 @@ class CumulativeLinkSpec:
     link: str = "logit"
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float).ravel()
-        cuts = np.asarray(self.theta_cuts, dtype=float).ravel()
+        beta = _finite("beta", self.beta)
+        cuts = _finite("theta_cuts", self.theta_cuts)
         if cuts.shape[0] < 1:
             raise ValueError("need at least one cutpoint (J >= 2)")
         if np.any(np.diff(cuts) <= 0):

@@ -21,6 +21,7 @@ from .models import CumulativeLinkSpec, LogisticModelSpec, cumlink_atoms, logist
 from .solvers import SolveResult, SolverConfig, solve_hybrid
 
 MODEL_NAMES = ("logistic", "cumlink")
+BOOTSTRAP_METHODS = ("two-stage", "random")
 
 
 def _fit_model(model: str, Z: np.ndarray, y: np.ndarray):

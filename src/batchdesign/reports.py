@@ -42,7 +42,7 @@ REPORT_SCHEMA = {
 def make_report(command: str, params: dict, results: dict, timings: dict,
                 seed: int | None = None, converged: bool | None = None,
                 artifacts: dict | None = None) -> dict:
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "seed": seed,
@@ -53,8 +53,6 @@ def make_report(command: str, params: dict, results: dict, timings: dict,
         "timings": timings,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    validate_report(report)
-    return report
 
 
 def validate_report(report: dict) -> None:
@@ -62,6 +60,7 @@ def validate_report(report: dict) -> None:
 
 
 def write_report(path, report: dict) -> None:
+    """Validate the report against REPORT_SCHEMA, then write it as sorted JSON."""
     validate_report(report)
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

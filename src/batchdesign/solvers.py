@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .criteria import (
 )
 from .errors import InfeasibleEpsilon, SingularInformation
 from .measures import (
-    CAP_BAND,
-    ZERO_BAND,
     Measure,
     _greedy_linear_max,
     active_set_split,
@@ -189,11 +187,13 @@ class EfficiencyBounds:
     efficiency relative to the exact relaxation optimum;
     certified_lower_bound = ratio * (1 - gap(w_solved)) underestimates it, and
     therefore also underestimates efficiency relative to the best sample.
+    phi_candidate is Phi_p(w_candidate) itself.
     """
 
     ratio: float
     certified_lower_bound: float
     solved_gap_ratio: float
+    phi_candidate: float
 
 
 @dataclass
@@ -532,4 +532,5 @@ def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,
     ratio = gap.phi_value / phi_candidate
     certified = gap.phi_value * (1.0 - max(gap.gap_ratio, 0.0)) / phi_candidate
     return EfficiencyBounds(ratio=float(ratio), certified_lower_bound=float(certified),
-                            solved_gap_ratio=float(gap.gap_ratio))
+                            solved_gap_ratio=float(gap.gap_ratio),
+                            phi_candidate=float(phi_candidate))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_non_finite_model_parameters_exit_2(pool_csv, tmp_path, capsys):
     assert main(["select", "--input", str(pool_csv), "--n", "5", "--model", "logistic",
                  "--params", str(params), "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "atom 0 has a non-finite entry" in err
+    assert "beta has a non-finite entry" in err
 
 
 def test_degenerate_pool_exits_3(tmp_path):
@@ -272,3 +273,136 @@ def test_bootstrap_eval_command(labeled_csv, tmp_path):
         table = list(csv.DictReader(fh))
     assert [t["method"] for t in table] == ["two-stage", "random"]
     assert (out / "components.csv").exists()
+
+
+def test_bench_and_cross_criteria_accept_input(pool_csv, tmp_path):
+    # these commands take --input but none of the feature-transform flags
+    assert main(["bench", "--input", str(pool_csv), "--n", "10", "--methods", "hybrid,exchange",
+                 "--output-dir", str(tmp_path / "bench")]) == 0
+    assert _report(tmp_path / "bench")["results"]["k"] == 2
+    assert main(["cross-criteria", "--input", str(pool_csv), "--ns", "10,20",
+                 "--output-dir", str(tmp_path / "cross")]) == 0
+    assert [r["n"] for r in _report(tmp_path / "cross")["results"]["rows"]] == [10, 20]
+
+
+_KEY_SET_RUNS = {
+    "select": (["select", "--input", "{pool}", "--add-intercept", "--n", "8", "--seed", "3"], {
+        "params": ["epsilon", "feature_names", "input", "model", "n", "p", "v", "v0"],
+        "results": ["N", "certified_lower_bound", "efficiency_ratio", "epsilon", "gap_ratio",
+                    "inner_iterations", "iterations", "k", "n", "p", "phi_relaxed", "phi_sample",
+                    "selected_indices", "target_gap"],
+        "timings": ["boost_seconds", "refine_seconds", "solve_seconds", "total_seconds"],
+        "artifacts": ["weights"]}),
+    "efficiency": (["efficiency", "--input", "{pool}", "--candidate", "{cand}"], {
+        "params": ["candidate", "epsilon", "input", "model", "n", "p", "v"],
+        "results": ["N", "candidate_indices", "certified_lower_bound", "efficiency_ratio",
+                    "epsilon", "k", "n", "p", "phi_candidate", "phi_relaxed", "solved_gap_ratio"],
+        "timings": ["solve_seconds", "total_seconds"],
+        "artifacts": []}),
+    "bench": (["bench", "--N", "60", "--k", "3", "--n", "10", "--seed", "1",
+               "--methods", "hybrid,exchange"], {
+        "params": ["N", "epsilon", "k", "methods", "n", "p", "synthetic", "v"],
+        "results": ["N", "k", "n", "p", "rows"],
+        "timings": ["exchange_seconds", "hybrid_seconds", "total_seconds"],
+        "artifacts": ["table"]}),
+    "cross-criteria": (["cross-criteria", "--N", "60", "--k", "3", "--ns", "20"], {
+        "params": ["N", "k", "ns", "synthetic"],
+        "results": ["rows"],
+        "timings": ["total_seconds"],
+        "artifacts": ["table"]}),
+    "two-stage": (["two-stage", "--input", "{labeled}", "--response", "y", "--add-intercept",
+                   "--model", "logistic", "--n", "30", "--seed", "9"], {
+        "params": ["epsilon", "input", "model", "n", "p", "r", "response", "v"],
+        "results": ["N", "beta_hat", "combined_indices", "fit_iterations", "gap_ratio", "model",
+                    "n", "n_stage1", "p", "phi_relaxed", "r", "stage1_indices"],
+        "timings": ["solve_seconds", "total_seconds"],
+        "artifacts": ["weights"]}),
+    "bootstrap-eval": (["bootstrap-eval", "--input", "{labeled}", "--response", "y",
+                        "--add-intercept", "--model", "logistic", "--n", "30", "--r", "0.5",
+                        "--B", "2", "--seed", "7", "--v", "1e-4", "--v0", "1e-2"], {
+        "params": ["B", "epsilon", "input", "methods", "model", "n", "p", "r", "response",
+                   "threads"],
+        "results": ["B", "N", "failed_replicates", "methods", "model", "n", "p", "r",
+                    "reference_beta", "used_replicates"],
+        "timings": ["total_seconds"],
+        "artifacts": ["components", "table"]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_KEY_SET_RUNS))
+def test_report_key_sets(command, pool_csv, labeled_csv, tmp_path):
+    argv, expected = _KEY_SET_RUNS[command]
+    cand = tmp_path / "cand.txt"
+    cand.write_text("0\n3\n5\n7\n11\n")
+    paths = {"{pool}": str(pool_csv), "{labeled}": str(labeled_csv), "{cand}": str(cand)}
+    out = tmp_path / "out"
+    assert main([paths.get(a, a) for a in argv] + ["--output-dir", str(out)]) == 0
+    rep = _report(out)
+    assert rep["command"] == command
+    assert {key: sorted(rep[key]) for key in expected} == expected
+    assert sorted(rep["artifacts"]) == sorted(p.name.split(".")[0] for p in out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, v", [("select", 1e-6), ("efficiency", 1e-8),
+                                        ("bench", 1e-3), ("cross-criteria", 1e-8)])
+def test_help_shows_the_v_default_in_use(command, v, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    shown = re.search(r"--v V [^(]*\(default:? ([^)]+)\)", text)
+    assert shown is not None and float(shown.group(1)) == v
+
+
+def test_bad_list_flags_exit_2_up_front(labeled_csv, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a solve ran before the flags were checked")
+
+    for name in ("run_bench", "run_cross_criteria", "bootstrap_evaluate"):
+        monkeypatch.setattr(cli_mod, name, never)
+    out = ["--output-dir", str(tmp_path / "out")]
+    assert main(["bench", "--N", "60", "--k", "3", "--n", "10",
+                 "--methods", "hybrid,foo"] + out) == 2
+    err = capsys.readouterr().err
+    assert "--methods" in err and "foo" in err and "hybrid,exchange,backward" in err
+    assert main(["bootstrap-eval", "--input", str(labeled_csv), "--response", "y",
+                 "--model", "logistic", "--n", "30", "--B", "2", "--methods", "foo"] + out) == 2
+    err = capsys.readouterr().err
+    assert "--methods" in err and "two-stage,random" in err
+    assert main(["cross-criteria", "--N", "60", "--k", "3", "--ns", "20,abc"] + out) == 2
+    assert "--ns" in capsys.readouterr().err
+    for methods in (",", "hybrid,hybrid"):
+        assert main(["bench", "--N", "60", "--k", "3", "--n", "10", "--methods", methods] + out) == 2
+
+
+def test_budget_below_parameter_count_exit_2(pool_csv, tmp_path, capsys):
+    out = ["--output-dir", str(tmp_path / "out")]
+    assert main(["select", "--input", str(pool_csv), "--add-intercept", "--n", "2"] + out) == 2
+    assert "n = 2" in capsys.readouterr().err
+    params = tmp_path / "logit.json"
+    params.write_text(json.dumps({"beta": [0.1, 0.5, -0.5]}))
+    assert main(["select", "--input", str(pool_csv), "--add-intercept", "--n", "2",
+                 "--model", "logistic", "--params", str(params)] + out) == 2
+    assert "k = 3" in capsys.readouterr().err
+    cand = tmp_path / "cand.txt"
+    cand.write_text("0\n5\n")
+    assert main(["efficiency", "--input", str(pool_csv), "--add-intercept",
+                 "--candidate", str(cand)] + out) == 2
+    err = capsys.readouterr().err
+    assert "n = 2" in err and "k = 3" in err
+    # matrix atoms can carry rank > 1 each, so a short budget is not rejected up front
+    cum = tmp_path / "cum.json"
+    cum.write_text(json.dumps({"beta": [0.5, -0.3], "theta_cuts": [-1.0, 0.0, 1.0]}))
+    assert main(["select", "--input", str(pool_csv), "--n", "3", "--model", "cumlink",
+                 "--params", str(cum)] + out) == 0
+
+
+def test_config_nulls_keep_declared_defaults(pool_csv, tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None, "p": None, "v": None, "output-dir": str(out)}))
+    cand = tmp_path / "cand.txt"
+    cand.write_text("0\n3\n5\n7\n")
+    assert main(["efficiency", "--input", str(pool_csv), "--config", str(cfg),
+                 "--candidate", str(cand)]) == 0
+    rep = _report(out)
+    assert (rep["seed"], rep["params"]["p"], rep["params"]["v"]) == (0, 0.0, 1e-8)

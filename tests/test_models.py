@@ -99,6 +99,18 @@ def test_cumlink_spec_validation():
     assert spec.k == 4
 
 
+def test_non_finite_model_parameters_rejected():
+    # a NaN cutpoint compares False, so the ordering check alone lets it through
+    with pytest.raises(ValueError, match="theta_cuts"):
+        _spec([1.0], [0.0, np.nan])
+    with pytest.raises(ValueError, match="beta"):
+        _spec([np.inf], [0.0, 1.0])
+    with pytest.raises(ValueError, match="beta"):
+        LogisticModelSpec(beta=[np.inf])
+    with pytest.raises(ValueError, match="beta"):
+        LogisticModelSpec(beta=[0.5, np.nan])
+
+
 def test_cumlink_probabilities_match_direct_formula(rng):
     spec = _spec([0.8, -0.5], [-0.7, 0.4, 1.5])
     Z = rng.standard_normal((10, 2))

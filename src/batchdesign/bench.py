@@ -15,6 +15,11 @@ from .solvers import SolverConfig, efficiency_bounds, solve_hybrid
 
 REFERENCE_GAP = 1e-8
 BENCH_METHODS = ("hybrid", "exchange", "backward")
+# backward_select takes about BACKWARD_SECONDS_PER_OP * N * (N - n) * k
+# seconds: 1.4e-9 to 2.8e-9 measured at N = 3 000 and 6 000, k = 5, 10, 20,
+# n = N / 10 (numpy 2.4.6, one BLAS thread, 2 vCPUs); the top of the range
+# is used so that a run predicted to fit the budget does
+BACKWARD_SECONDS_PER_OP = 3e-9
 
 
 def make_gaussian_pool(N: int, k: int, rng: np.random.Generator) -> AtomSet:
@@ -68,10 +73,11 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
 
     Methods expected to exceed ``time_budget`` seconds (when given) are
     skipped with an explanatory note instead of blocking the run.  A method
-    that raises, and a hybrid solve that misses its gap target, are recorded
-    with a note and a status rather than stopping the run.  A
-    precomputed reference measure (solved to REFERENCE_GAP) avoids repeating
-    the expensive certification solve across benchmarks of one instance.
+    that raises, in selection or in certification, and a hybrid solve that
+    misses its gap target, are recorded with a note and a status rather
+    than stopping the run.  A precomputed reference measure (solved to
+    REFERENCE_GAP) avoids repeating the expensive certification solve
+    across benchmarks of one instance.
     """
     spec = CriterionSpec(p=p)
     N = len(atoms)
@@ -94,24 +100,25 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
             elif method == "exchange":
                 sample = exchange_select(atoms, n).sample
             elif method == "backward":
-                if time_budget is not None and N * (N - n) * atoms.k > 5e11:
+                predicted = BACKWARD_SECONDS_PER_OP * N * (N - n) * atoms.k
+                if time_budget is not None and predicted > time_budget:
                     result.rows.append(BenchRow(method, float("nan"), float("nan"),
                                                 float("nan"), float("nan"),
-                                                note="skipped: over time budget",
+                                                note=f"skipped: predicted {predicted:.3g}s "
+                                                     f"over time budget {time_budget:.3g}s",
                                                 status="skipped"))
                     continue
                 sample = backward_select(atoms, n).sample
             else:
                 raise ValueError(f"unknown method {method!r}")
+            seconds = time.perf_counter() - t0
+            bounds = efficiency_bounds(measure_of_sample(sample, N), w_ref, atoms, spec)
         except Exception as exc:  # record, keep benchmarking the rest
             result.rows.append(BenchRow(method, time.perf_counter() - t0,
                                         float("nan"), float("nan"), float("nan"),
                                         note=f"failed: {type(exc).__name__}",
                                         status="failed"))
             continue
-        seconds = time.perf_counter() - t0
-        w_sample = measure_of_sample(sample, N)
-        bounds = efficiency_bounds(w_sample, w_ref, atoms, spec)
         result.rows.append(BenchRow(method=method, seconds=seconds,
                                     efficiency=bounds.ratio,
                                     certified=bounds.certified_lower_bound,

@@ -181,12 +181,9 @@ def _build_atoms(args, Z: np.ndarray):
         raise ParseError(f"{args.params}: cumlink model needs 'theta_cuts'")
     theta = np.asarray(raw["theta_cuts"], dtype=float)
     spec = CumulativeLinkSpec(beta, theta)
-    atoms = cumlink_atoms(Z, spec)
-    G = None
-    if args.focus == "beta":
-        d = beta.shape[0]
-        G = np.hstack([np.eye(d), np.zeros((d, spec.k - d))])
-    return atoms, G, {"model": "cumlink", "beta": beta.tolist(), "theta_cuts": theta.tolist()}
+    G = spec.beta_selector if args.focus == "beta" else None
+    return cumlink_atoms(Z, spec), G, {"model": "cumlink", "beta": beta.tolist(),
+                                       "theta_cuts": theta.tolist()}
 
 
 def _solver_config(args, n: int) -> SolverConfig:
@@ -206,6 +203,14 @@ def _require_budget(n, N, allow_full=False) -> int:
     if not 0 < n <= hi:
         raise ParseError(f"budget n = {n} must lie in [1, {hi}] for a pool of {N}")
     return n
+
+
+def _require_rank(atoms: AtomSet, n: int) -> None:
+    """Reject budgets whose samples cannot have a nonsingular information matrix."""
+    # n rank-one atoms span at most n directions; a matrix atom can span more
+    if atoms.kind == "vector" and n < atoms.k:
+        raise ParseError(f"n = {n} points are fewer than the k = {atoms.k} parameters, "
+                         "so the sample's information matrix is singular")
 
 
 def _comma_list(value, flag: str, allowed=None) -> list:
@@ -236,10 +241,7 @@ def _write_report(args, t0: float, params: dict, results: dict, timings: dict | 
 
 def _solve_for_sample(args, atoms: AtomSet, G, n: int):
     """Solve the relaxation that certifies size-n samples: (spec, cfg, result, seconds)."""
-    # n rank-one atoms span at most n directions; a matrix atom can span more
-    if atoms.kind == "vector" and n < atoms.k:
-        raise ParseError(f"n = {n} points are fewer than the k = {atoms.k} parameters, "
-                         "so the sample's information matrix is singular")
+    _require_rank(atoms, n)
     spec = CriterionSpec(p=float(args.p), G=G)
     cfg = _solver_config(args, n)
     t_solve = time.perf_counter()
@@ -355,6 +357,7 @@ def cmd_bench(args) -> int:
     methods = _comma_list(args.methods, "--methods", BENCH_METHODS)
     atoms, source = _bench_pool(args)
     n = _require_budget(args.n, len(atoms), allow_full=True)
+    _require_rank(atoms, n)
     cfg = _solver_config(args, n)
     bench = run_bench(atoms, n, p=float(args.p), methods=methods,
                       time_budget=args.time_budget, solver_cfg=cfg)

@@ -139,15 +139,15 @@ def _leverage_core(state: InfoState, spec: CriterionSpec) -> tuple[float, np.nda
     p = spec.p
     tr_p = float(q) if p == 0.0 else float(np.sum(lam**p))
     coef = state.phi_value / tr_p
-    if state.identity_g and spec.G is None:
+    if state.identity_g != (spec.G is None):
+        raise DimensionMismatch("the state and spec disagree on G; build the state with this spec")
+    if spec.G is None:
         if p == 0.0:
             B = state.M_inv
         else:
             V = state.sigma_eigvecs
             B = (V * lam ** (p + 1.0)) @ V.T
     else:
-        if spec.G is None:
-            raise DimensionMismatch("state was built with an explicit G; spec.G must match")
         V = state.sigma_eigvecs
         W = (V * lam ** (p - 1.0)) @ V.T
         C = state.M_inv @ spec.G.T

@@ -35,18 +35,11 @@ def _finite(name: str, values) -> np.ndarray:
     return values
 
 
-_LINKS = {
-    # inverse link and its derivative
-    "logit": (_sigmoid, lambda t: _sigmoid(t) * (1.0 - _sigmoid(t))),
-}
-
-
 @dataclass(frozen=True)
 class LogisticModelSpec:
     """Working coefficients for binary logistic information atoms."""
 
     beta: np.ndarray
-    add_intercept: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _finite("beta", self.beta))
@@ -54,16 +47,15 @@ class LogisticModelSpec:
 
 @dataclass(frozen=True)
 class CumulativeLinkSpec:
-    """Working parameters of a proportional-odds model.
+    """Working parameters of a proportional-odds (cumulative logit) model.
 
     beta are the d regression coefficients and theta_cuts the J - 1 strictly
-    increasing cutpoints; P(Y <= j | z) = link^-1(theta_j - z . beta).  The
+    increasing cutpoints; P(Y <= j | z) = sigmoid(theta_j - z . beta).  The
     joint parameter order is (beta_1..beta_d, theta_1..theta_{J-1}).
     """
 
     beta: np.ndarray
     theta_cuts: np.ndarray
-    link: str = "logit"
 
     def __post_init__(self):
         beta = _finite("beta", self.beta)
@@ -72,8 +64,6 @@ class CumulativeLinkSpec:
             raise ValueError("need at least one cutpoint (J >= 2)")
         if np.any(np.diff(cuts) <= 0):
             raise ValueError("cutpoints must be strictly increasing")
-        if self.link not in _LINKS:
-            raise ValueError(f"unknown link {self.link!r}; available: {sorted(_LINKS)}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "theta_cuts", cuts)
 
@@ -85,12 +75,16 @@ class CumulativeLinkSpec:
     def k(self) -> int:
         return self.beta.shape[0] + self.theta_cuts.shape[0]
 
+    @property
+    def beta_selector(self) -> np.ndarray:
+        """G = [I_d 0]: the transform of interest that keeps the regression
+        coefficients and drops the cutpoints."""
+        return np.eye(self.beta.shape[0], self.k)
+
 
 def logistic_atoms(Z, spec: LogisticModelSpec) -> AtomSet:
     """Rank-one logistic information atoms sqrt(p_i (1 - p_i)) z_i."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if spec.add_intercept:
-        Z = np.hstack([np.ones((Z.shape[0], 1)), Z])
     if Z.shape[1] != spec.beta.shape[0]:
         raise DimensionMismatch(
             f"{Z.shape[1]} feature columns for {spec.beta.shape[0]} coefficients")
@@ -109,13 +103,12 @@ def cumlink_parts(Z, spec: CumulativeLinkSpec) -> tuple[np.ndarray, np.ndarray]:
     d = spec.beta.shape[0]
     if Z.shape[1] != d:
         raise DimensionMismatch(f"{Z.shape[1]} feature columns for {d} coefficients")
-    inv_link, inv_link_deriv = _LINKS[spec.link]
     J = spec.n_categories
     N = Z.shape[0]
-    t = spec.theta_cuts[None, :] - (Z @ spec.beta)[:, None]
-    gamma = np.hstack([np.zeros((N, 1)), inv_link(t), np.ones((N, 1))])
+    cdf = _sigmoid(spec.theta_cuts[None, :] - (Z @ spec.beta)[:, None])
+    gamma = np.hstack([np.zeros((N, 1)), cdf, np.ones((N, 1))])
     pi = np.diff(gamma, axis=1)
-    f = np.hstack([np.zeros((N, 1)), inv_link_deriv(t), np.zeros((N, 1))])
+    f = np.hstack([np.zeros((N, 1)), cdf * (1.0 - cdf), np.zeros((N, 1))])
 
     k = d + J - 1
     dpi = np.zeros((N, J, k))

@@ -33,23 +33,12 @@ def _fit_model(model: str, Z: np.ndarray, y: np.ndarray):
 
 
 def _atoms_for(model: str, Z: np.ndarray, fit):
+    """Atoms at the fitted parameters, and the transform of interest: all
+    coefficients for logistic, the regression block for cumulative-link."""
     if model == "logistic":
-        return logistic_atoms(Z, LogisticModelSpec(fit.beta))
-    return cumlink_atoms(Z, CumulativeLinkSpec(fit.beta, fit.theta_cuts))
-
-
-def _g_for(model: str, Z: np.ndarray, fit) -> np.ndarray | None:
-    """Transform of interest: all coefficients for logistic, the regression
-    block (excluding cutpoints) for the cumulative-link model."""
-    if model == "logistic":
-        return None
-    d = Z.shape[1]
-    k = d + fit.theta_cuts.shape[0]
-    return np.hstack([np.eye(d), np.zeros((d, k - d))])
-
-
-def _beta_block(model: str, fit) -> np.ndarray:
-    return np.asarray(fit.beta, dtype=float)
+        return logistic_atoms(Z, LogisticModelSpec(fit.beta)), None
+    spec = CumulativeLinkSpec(fit.beta, fit.theta_cuts)
+    return cumlink_atoms(Z, spec), spec.beta_selector
 
 
 @dataclass
@@ -82,8 +71,8 @@ def two_stage_select(Z, y, model: str, n: int, r_frac: float, p: float,
         return TwoStageResult(stage1, stage1, None, None, p, n, r_frac)
 
     fit = _fit_model(model, Z[stage1_idx], y[stage1_idx])
-    atoms = _atoms_for(model, Z, fit)
-    spec = CriterionSpec(p=p, G=_g_for(model, Z, fit))
+    atoms, G = _atoms_for(model, Z, fit)
+    spec = CriterionSpec(p=p, G=G)
     eps = cfg.epsilon if cfg.epsilon is not None else 1.0 / n
     cfg = replace(cfg, epsilon=eps)
     res = solve_hybrid(atoms, spec, cfg, pinned=stage1_idx)
@@ -145,7 +134,7 @@ def _one_replicate(args):
                 fit = _fit_model(model, Z[pick], y[pick])
             else:
                 raise ValueError(f"unknown method {method!r}")
-            devs[method] = _beta_block(model, fit)
+            devs[method] = fit.beta
         except FitDiverged:
             return None
     return devs
@@ -168,7 +157,7 @@ def bootstrap_evaluate(Z, y, model: str, methods, n: int, r_frac: float, p: floa
     y = np.asarray(y).ravel()
     methods = list(methods)
     ref_fit = _fit_model(model, Z, y)
-    ref_beta = _beta_block(model, ref_fit)
+    ref_beta = ref_fit.beta
 
     children = np.random.SeedSequence(seed).spawn(B)
     jobs = [(Z, y, model, methods, n, r_frac, p, cfg, children[b]) for b in range(B)]

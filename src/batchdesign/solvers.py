@@ -10,9 +10,9 @@ Three cooperating pieces:
   Martinez & Raydan 2000): one projection per iteration with a
   Barzilai-Borwein step, and a line search along the segment to the
   projected point that runs on k x k information matrices only;
-* the hybrid driver: boost until the relative optimality gap reaches v0,
-  then alternate steepest-gradient classification with restricted solves
-  until the gap reaches v.
+* one solve loop for both phases: boost until the relative optimality gap
+  reaches v0, then alternate steepest-gradient classification with
+  restricted solves until the gap reaches v.
 
 The relative gap (sum_i sg_i phi_i - Phi_p) / Phi_p is an exact optimality
 certificate: value * (1 - gap) lower-bounds the optimal criterion value, so
@@ -50,6 +50,16 @@ from .measures import (
 PHI_SLACK = 1e-12
 # relative outer-loop improvement under which a safeguard boost is inserted
 STALL_RTOL = 1e-14
+# boost step size min(BOOST_STEP_CAP, -eta / (tau + BOOST_CURVATURE_REG)):
+# the paper's step cap r and curvature regularizer u
+BOOST_STEP_CAP = 0.25
+BOOST_CURVATURE_REG = 1e-12
+# iteration caps: boost steps, restricted solves, and SPG steps per solve
+MAX_BOOST_ITERS = 5000
+MAX_OUTER_ITERS = 200
+INNER_MAX_ITERS = 10000
+# a restricted solve stops once its linearized gap is below INNER_TOL * Phi_p
+INNER_TOL = 1e-10
 # inner loop: a trial is accepted against the largest criterion value of the
 # last NONMONOTONE_WINDOW accepted iterates, with Armijo constant ARMIJO
 NONMONOTONE_WINDOW = 10
@@ -62,22 +72,17 @@ _ROUNDOFF = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration caps for the relaxation solvers.
+    """Weight cap and gap targets of a relaxation solve.
 
     epsilon is the per-point weight cap (1/n makes every size-n subset
-    feasible); v0 is the boost-phase gap target, v the final gap target.
-    r caps the boost step and u regularizes its curvature denominator.
+    feasible); v0 is the boost-phase gap target, v the final gap target;
+    skip_refine stops after the boost phase.  Step sizes, tolerances and
+    iteration caps are the module constants above.
     """
 
     epsilon: float | None = None
     v0: float = 1e-3
     v: float = 1e-6
-    r: float = 0.25
-    u: float = 1e-12
-    max_boost_iters: int = 5000
-    max_outer_iters: int = 200
-    inner_tol: float = 1e-10
-    inner_max_iters: int = 10000
     skip_refine: bool = False
 
     def __post_init__(self):
@@ -85,15 +90,6 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if not 0 < self.v0 < 1 or not 0 < self.v < 1:
             raise ValueError("gap targets v0 and v must lie in (0, 1)")
-        if not 0 < self.r < 1:
-            raise ValueError("step cap r must lie in (0, 1)")
-        if not self.u > 0:
-            raise ValueError("curvature regularizer u must be positive")
-        for name in ("max_boost_iters", "max_outer_iters", "inner_max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
 
     @property
     def refine_enabled(self) -> bool:
@@ -173,9 +169,10 @@ class SolveResult:
     gap_ratio: float
     phi_value: float
     scores: np.ndarray
+    # boost-phase steps taken and restricted solves run
     iterations: dict[str, int]
     inner_iterations: int = 0
-    # restricted solves that stopped at cfg.inner_max_iters
+    # restricted solves that stopped at INNER_MAX_ITERS
     inner_cap_hits: int = 0
 
 
@@ -230,13 +227,7 @@ def optimality_gap(w: Measure, atoms, spec: CriterionSpec) -> GapResult:
     return GapResult(ev.gap_ratio, ev.sg, ev.state.phi_value, ev.scores)
 
 
-def boost_alpha(eta_value: float, tau_value: float, r: float, u: float) -> float:
-    """Step size from the quadratic model: min(r, max(0, -eta / (tau + u)))."""
-    return min(r, max(0.0, -eta_value / (tau_value + u)))
-
-
-def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec,
-                cfg: SolverConfig) -> tuple[Measure, float]:
+def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec) -> tuple[Measure, float]:
     eta_value = ev.state.phi_value - ev.lin
     # a directional derivative within roundoff of zero is stationary
     if eta_value >= -PHI_SLACK * (1.0 + abs(ev.state.phi_value)):
@@ -248,7 +239,7 @@ def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec,
         # both curvature probes left the PD cone: the step cap and the
         # halving line search below still bound the move
         tau_value = 0.0
-    alpha = boost_alpha(eta_value, tau_value, cfg.r, cfg.u)
+    alpha = min(BOOST_STEP_CAP, max(0.0, -eta_value / (tau_value + BOOST_CURVATURE_REG)))
     if alpha <= 0.0:
         return w, 0.0
     phi0 = ev.state.phi_value
@@ -267,17 +258,16 @@ def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec,
     return Measure(wts, w.epsilon), alpha
 
 
-def boost_step(w: Measure, sg: Measure, atoms, spec: CriterionSpec,
-               cfg: SolverConfig) -> BoostStep:
+def boost_step(w: Measure, sg: Measure, atoms, spec: CriterionSpec) -> BoostStep:
     """One damped move from w toward sg; alpha = 0 is a legal outcome."""
     aset = as_atom_set(atoms)
     ev = _evaluate(aset, w, spec, sg=sg)
-    w_next, alpha = _boost_once(aset, w, ev, spec, cfg)
+    w_next, alpha = _boost_once(aset, w, ev, spec)
     return BoostStep(w_next, alpha)
 
 
 def restricted_minimize(w: Measure, sg: Measure, atoms, spec: CriterionSpec,
-                        cfg: SolverConfig, pinned: np.ndarray | None = None) -> Measure:
+                        pinned: np.ndarray | None = None) -> Measure:
     """Minimize the criterion with bound-agreeing coordinates pinned.
 
     Points at the cap in both w and sg stay at the cap, points at zero in
@@ -291,13 +281,13 @@ def restricted_minimize(w: Measure, sg: Measure, atoms, spec: CriterionSpec,
     iterates, so single steps may go uphill; the best iterate is returned,
     and the result never has a larger criterion value than w.
     """
-    measure, _, _, _ = _restricted(as_atom_set(atoms), w, sg, spec, cfg, pinned, phi_ref=None)
-    return measure
+    aset = as_atom_set(atoms)
+    phi_ref = build_info_state(aset, w, spec).phi_value
+    return _restricted(aset, w, sg, spec, pinned, phi_ref)[0]
 
 
 def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
-                cfg: SolverConfig, pinned: np.ndarray | None,
-                phi_ref: float | None) -> tuple[Measure, float, int, bool]:
+                pinned: np.ndarray | None, phi_ref: float) -> tuple[Measure, float, int, bool]:
     eps = w.epsilon
     t1, t2 = active_set_split(w, sg)
     if pinned is not None:
@@ -305,8 +295,6 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
         t1[pinned] = True
         t2 = t2 & ~t1
     free = ~(t1 | t2)
-    if phi_ref is None:
-        phi_ref = build_info_state(aset, w, spec).phi_value
     if not free.any():
         return w, phi_ref, 0, False
 
@@ -334,10 +322,10 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     alpha = eps / max(float(grad.max() - grad.min()), 1e-12)
     cap_hit = False
     inner = 0
-    for inner in range(1, cfg.inner_max_iters + 1):
+    for inner in range(1, INNER_MAX_ITERS + 1):
         u_best = _greedy_linear_max(grad, eps, mass)
         res_gap = float((u_best - wf) @ grad)
-        if res_gap <= cfg.inner_tol * max(state.phi_value, 1e-300):
+        if res_gap <= INNER_TOL * max(state.phi_value, 1e-300):
             break
         d = project_capped_simplex(wf + alpha * grad, eps, mass) - wf
         slope = float(grad @ d)
@@ -394,62 +382,63 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     return Measure(full, eps), float(state.phi_value), inner, cap_hit
 
 
-def _refine_loop(aset: AtomSet, w: Measure, spec: CriterionSpec, cfg: SolverConfig,
-                 pinned: np.ndarray | None, trace: SolveTrace, t0: float,
-                 phase: str = "refine") -> tuple[Measure, bool, _Eval, int, int, int]:
-    pending_boost = False
-    inner_total = 0
-    cap_hits = 0
-    outer = 0
-    for outer in range(1, cfg.max_outer_iters + 1):
+def _solve(aset: AtomSet, w: Measure, spec: CriterionSpec, cfg: SolverConfig,
+           pinned: np.ndarray | None, boosting: bool) -> SolveResult:
+    """Evaluate, record and test the iterate, then make one move, until done.
+
+    The move is a boost step while boosting, which ends once the gap reaches
+    v0, a step is zero or MAX_BOOST_ITERS steps were taken.  After that it
+    is a restricted solve on the projected steepest-gradient split, except
+    that a restricted solve which stalled is followed by one boost step.
+    """
+    t0 = time.perf_counter()
+    trace = SolveTrace()
+    iterations = {"boost": 0, "refine": 0}
+    inner_total = cap_hits = 0
+    phase, alpha, stalled = ("boost" if boosting else "refine"), np.nan, False
+    while True:
         ev = _evaluate(aset, w, spec, pinned)
         t1, t2 = active_set_split(w, ev.sg)
         trace.add(phase=phase, phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
-                  alpha=0.0, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
+                  alpha=alpha, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
                   wall_time=time.perf_counter() - t0)
-        if ev.gap_ratio <= cfg.v:
-            return w, True, ev, outer, inner_total, cap_hits
-        if pending_boost:
-            w_b, alpha = _boost_once(aset, w, ev, spec, cfg)
-            pending_boost = False
+        if boosting:
+            if ev.gap_ratio > cfg.v0 and iterations["boost"] < MAX_BOOST_ITERS:
+                w_next, alpha = _boost_once(aset, w, ev, spec)
+                iterations["boost"] += 1
+                if alpha > 0.0:
+                    w = w_next
+                    continue
+            boosting = False
+            if not cfg.refine_enabled:
+                converged = bool(ev.gap_ratio <= cfg.v0)
+                break
+        converged = bool(ev.gap_ratio <= cfg.v)
+        if converged or iterations["refine"] == MAX_OUTER_ITERS:
+            break
+        if stalled:
+            stalled = False
+            w_next, alpha = _boost_once(aset, w, ev, spec)
             if alpha > 0.0:
-                w = w_b
-                ev = _evaluate(aset, w, spec, pinned)
-                trace.add(phase="boost", phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
-                          alpha=alpha, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
-                          wall_time=time.perf_counter() - t0)
-                if ev.gap_ratio <= cfg.v:
-                    return w, True, ev, outer, inner_total, cap_hits
-        sg_pd = ev.sg
-        try:
-            sg_pd = psg_measure(_pin_scores(ev.scores, pinned), w.epsilon, aset, fallback=w)
-        except SingularInformation:
-            pass
-        w_new, phi_new, inner, cap_hit = _restricted(aset, w, sg_pd, spec, cfg, pinned,
-                                                     phi_ref=ev.state.phi_value)
+                w, phase = w_next, "boost"
+                continue
+        sg_pd = psg_measure(_pin_scores(ev.scores, pinned), w.epsilon, aset, fallback=w)
+        w, phi_new, inner, cap_hit = _restricted(aset, w, sg_pd, spec, pinned,
+                                                 phi_ref=ev.state.phi_value)
+        iterations["refine"] += 1
         inner_total += inner
         cap_hits += cap_hit
-        improve = ev.state.phi_value - phi_new
-        pending_boost = improve < STALL_RTOL * abs(ev.state.phi_value)
-        w = w_new
-    ev = _evaluate(aset, w, spec, pinned)
-    trace.add(phase=phase, phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
-              alpha=0.0, t1_size=0, t2_size=0, wall_time=time.perf_counter() - t0)
-    return w, bool(ev.gap_ratio <= cfg.v), ev, outer, inner_total, cap_hits
+        stalled = ev.state.phi_value - phi_new < STALL_RTOL * abs(ev.state.phi_value)
+        phase, alpha = "refine", 0.0
+    return SolveResult(w=w, trace=trace, converged=converged, gap_ratio=ev.gap_ratio,
+                       phi_value=ev.state.phi_value, scores=ev.scores, iterations=iterations,
+                       inner_iterations=inner_total, inner_cap_hits=cap_hits)
 
 
 def solve_active_set(w0: Measure, atoms, spec: CriterionSpec, cfg: SolverConfig,
                      pinned: np.ndarray | None = None) -> SolveResult:
     """Active-set iteration from a feasible start until the gap reaches v."""
-    aset = as_atom_set(atoms)
-    t0 = time.perf_counter()
-    trace = SolveTrace()
-    w, converged, ev, outer, inner_total, cap_hits = _refine_loop(
-        aset, w0, spec, cfg, pinned, trace, t0)
-    return SolveResult(w=w, trace=trace, converged=converged, gap_ratio=ev.gap_ratio,
-                       phi_value=ev.state.phi_value, scores=ev.scores,
-                       iterations={"boost": 0, "refine": outer},
-                       inner_iterations=inner_total, inner_cap_hits=cap_hits)
+    return _solve(as_atom_set(atoms), w0, spec, cfg, pinned, boosting=False)
 
 
 def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
@@ -476,47 +465,11 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
         if pinned_idx.size * eps > 1.0 + 1e-9:
             raise InfeasibleEpsilon("pinned points alone exceed total mass one")
 
-    t0 = time.perf_counter()
-    trace = SolveTrace()
-
     uniform = Measure(np.full(N, 1.0 / N), eps)
     state_u = build_info_state(aset, uniform, spec)
     scores_u = phi_p_scores(aset, state_u, spec)
     w = psg_measure(_pin_scores(scores_u, pinned_idx), eps, aset, fallback=uniform)
-
-    n_boost = 0
-    ev = None
-    for _ in range(cfg.max_boost_iters):
-        ev = _evaluate(aset, w, spec, pinned_idx)
-        t1, t2 = active_set_split(w, ev.sg)
-        trace.add(phase="boost", phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
-                  alpha=np.nan, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
-                  wall_time=time.perf_counter() - t0)
-        if ev.gap_ratio <= cfg.v0:
-            break
-        w_next, alpha = _boost_once(aset, w, ev, spec, cfg)
-        n_boost += 1
-        if alpha <= 0.0:
-            break
-        w = w_next
-        ev = None
-    if ev is None:
-        ev = _evaluate(aset, w, spec, pinned_idx)
-        trace.add(phase="boost", phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
-                  alpha=np.nan, t1_size=0, t2_size=0, wall_time=time.perf_counter() - t0)
-
-    if cfg.refine_enabled and ev.gap_ratio > cfg.v:
-        w, converged, ev, outer, inner_total, cap_hits = _refine_loop(
-            aset, w, spec, cfg, pinned_idx, trace, t0)
-    else:
-        converged = ev.gap_ratio <= cfg.target_gap
-        outer = 0
-        inner_total = 0
-        cap_hits = 0
-    return SolveResult(w=w, trace=trace, converged=converged, gap_ratio=ev.gap_ratio,
-                       phi_value=ev.state.phi_value, scores=ev.scores,
-                       iterations={"boost": n_boost, "refine": outer},
-                       inner_iterations=inner_total, inner_cap_hits=cap_hits)
+    return _solve(aset, w, spec, cfg, pinned_idx, boosting=True)
 
 
 def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,

@@ -212,6 +212,36 @@ def test_bench_exit_code_reports_failed_and_nonconverged_methods(tmp_path, monke
     assert rows["exchange"]["note"] == ""
 
 
+def test_bench_failed_certification_keeps_the_run_going(tmp_path, capsys):
+    # 20 distinct rows, each 20 times: top-n rounding takes copies of too few
+    # distinct rows, so certifying the hybrid sample raises
+    rng = np.random.default_rng(0)
+    Z = np.repeat(rng.standard_normal((20, 6)), 20, axis=0)
+    pool = tmp_path / "dup.csv"
+    pool.write_text("\n".join([",".join(f"x{j}" for j in range(6))]
+                              + [",".join(f"{v:.12g}" for v in row) for row in Z]) + "\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--input", str(pool), "--n", "60", "--methods", "hybrid,exchange",
+                 "--output-dir", str(out)]) == 3
+    rows = {r["method"]: r["note"] for r in _report(out)["results"]["rows"]}
+    assert rows == {"hybrid": "failed: SingularInformation",
+                    "exchange": "failed: SingularInformation"}
+    with open(out / "table.csv", newline="") as fh:
+        assert [t["method"] for t in csv.DictReader(fh)] == ["hybrid", "exchange"]
+    assert "hybrid" in capsys.readouterr().err
+
+
+def test_bench_time_budget_decides_backward(tmp_path):
+    argv = ["bench", "--N", "120", "--k", "3", "--n", "20", "--methods", "backward"]
+    notes = {}
+    for budget in ("1e-9", "1e9"):
+        out = tmp_path / budget
+        assert main(argv + ["--time-budget", budget, "--output-dir", str(out)]) == 0
+        notes[budget] = _report(out)["results"]["rows"][0]
+    assert notes["1e-9"]["note"].startswith("skipped") and notes["1e-9"]["efficiency"] is None
+    assert notes["1e9"]["note"] == "" and 0.0 < notes["1e9"]["efficiency"] <= 1.0 + 1e-7
+
+
 def test_cross_criteria_table(tmp_path):
     out = tmp_path / "out"
     code = main(["cross-criteria", "--N", "60", "--k", "3", "--ns", "20,30",
@@ -389,6 +419,9 @@ def test_budget_below_parameter_count_exit_2(pool_csv, tmp_path, capsys):
                  "--candidate", str(cand)] + out) == 2
     err = capsys.readouterr().err
     assert "n = 2" in err and "k = 3" in err
+    assert main(["bench", "--N", "60", "--k", "5", "--n", "4"] + out) == 2
+    err = capsys.readouterr().err
+    assert "n = 4" in err and "k = 5" in err
     # matrix atoms can carry rank > 1 each, so a short budget is not rejected up front
     cum = tmp_path / "cum.json"
     cum.write_text(json.dumps({"beta": [0.5, -0.3], "theta_cuts": [-1.0, 0.0, 1.0]}))

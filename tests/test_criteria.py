@@ -187,6 +187,19 @@ def test_singular_and_shape_errors(rng):
         info_state_from_m(np.eye(3), CriterionSpec(p=1.0, G=np.ones((1, 2))))
 
 
+@pytest.mark.parametrize("p", [0.0, 2.0])
+def test_scores_reject_a_state_built_with_another_g(rng, p):
+    # a square G passes every shape check, so only the G flag catches it
+    X = gaussian_pool(rng, 50, 3)
+    w = np.full(50, 1.0 / 50)
+    G = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    plain, with_g = CriterionSpec(p=p), CriterionSpec(p=p, G=G)
+    with pytest.raises(DimensionMismatch):
+        phi_p_scores(X, build_info_state(X, w, plain), with_g)
+    with pytest.raises(DimensionMismatch):
+        phi_p_scores(X, build_info_state(X, w, with_g), plain)
+
+
 def test_tau_retries_at_smaller_step_when_probe_is_singular():
     # M0 = diag(1, 1e-5), M1 = I: the probe at alpha = -1e-4 has a negative
     # eigenvalue, the probes at +-1e-5 are positive definite

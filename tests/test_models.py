@@ -66,7 +66,7 @@ def test_logistic_scale_bounded_and_saturating(rng):
 
 def test_logistic_intercept_and_shape_errors(rng):
     Z = rng.standard_normal((5, 2))
-    aset = logistic_atoms(Z, LogisticModelSpec(beta=np.zeros(3), add_intercept=True))
+    aset = logistic_atoms(np.hstack([np.ones((5, 1)), Z]), LogisticModelSpec(beta=np.zeros(3)))
     assert aset.k == 3
     assert np.allclose(aset.data[:, 0], 0.5)
     with pytest.raises(DimensionMismatch):
@@ -92,11 +92,10 @@ def test_cumlink_spec_validation():
         _spec([1.0], [])
     with pytest.raises(ValueError):
         _spec([1.0], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        CumulativeLinkSpec(beta=np.ones(1), theta_cuts=np.array([0.0]), link="probit")
     spec = _spec([1.0, 2.0], [-1.0, 1.0])
     assert spec.n_categories == 3
     assert spec.k == 4
+    assert np.array_equal(spec.beta_selector, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 
 def test_non_finite_model_parameters_rejected():

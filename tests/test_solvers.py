@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from batchdesign import (
     solve_hybrid,
     tau,
 )
+from batchdesign import solvers
 from batchdesign.errors import InfeasibleEpsilon, SingularInformation
 
 from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible
@@ -33,12 +36,6 @@ def test_config_validation_and_modes():
         SolverConfig(v0=0.0)
     with pytest.raises(ValueError):
         SolverConfig(v=2.0)
-    with pytest.raises(ValueError):
-        SolverConfig(r=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(u=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_outer_iters=0)
     cfg = SolverConfig(v0=1e-3, v=1e-6)
     assert cfg.refine_enabled and cfg.target_gap == 1e-6
     assert not SolverConfig(v0=1e-3, v=1e-6, skip_refine=True).refine_enabled
@@ -150,7 +147,7 @@ def test_boost_step_is_stationary_at_fixed_point(rng):
     X = gaussian_pool(rng, 15, 3)
     spec = CriterionSpec(p=1.0)
     w = random_feasible(rng, 15, 0.2)
-    step = boost_step(w, w, X, spec, _cfg(0.2))
+    step = boost_step(w, w, X, spec)
     assert step.alpha == 0.0
     assert np.allclose(step.w_next.weights, w.weights)
     # one interior weight moved by 1e-12 is still a legal measure (SUM_TOL is
@@ -162,7 +159,7 @@ def test_boost_step_is_stationary_at_fixed_point(rng):
             wts = w.weights.copy()
             wts[i] += delta
             moved = Measure(wts, 0.2)
-            step = boost_step(moved, moved, X, spec, _cfg(0.2))
+            step = boost_step(moved, moved, X, spec)
             assert step.alpha == 0.0, (i, delta)
             assert np.array_equal(step.w_next.weights, moved.weights)
 
@@ -172,7 +169,7 @@ def test_boost_step_descends(rng):
     spec = CriterionSpec(p=0.0)
     w = Measure(np.full(20, 0.05), 0.1)
     gap = optimality_gap(w, X, spec)
-    step = boost_step(w, gap.sg, X, spec, _cfg(0.1))
+    step = boost_step(w, gap.sg, X, spec)
     assert 0.0 < step.alpha <= 0.25
     phi_after = build_info_state(X, step.w_next, spec).phi_value
     assert phi_after <= gap.phi_value + 1e-12
@@ -187,7 +184,7 @@ def test_boost_step_with_singular_curvature_probes_takes_capped_step():
     sg = Measure(np.array([0.5, 0.5]), 1.0)
     with pytest.raises(SingularInformation):
         tau(sg, w, X, spec)
-    step = boost_step(w, sg, X, spec, _cfg(1.0))
+    step = boost_step(w, sg, X, spec)
     assert step.alpha == 0.25
     assert np.allclose(step.w_next.weights, 0.75 * w.weights + 0.25 * sg.weights, rtol=1e-15)
 
@@ -198,20 +195,47 @@ def test_restricted_never_increases(rng):
         X = gaussian_pool(rng, 18, 3)
         w = random_feasible(rng, 18, 0.15)
         gap = optimality_gap(w, X, spec)
-        w_new = restricted_minimize(w, gap.sg, X, spec, _cfg(0.15))
+        w_new = restricted_minimize(w, gap.sg, X, spec)
         phi_new = build_info_state(X, w_new, spec).phi_value
         assert phi_new <= gap.phi_value + 1e-12
 
 
-def test_inner_cap_hits_counted(rng):
+def test_inner_cap_hits_counted(rng, monkeypatch):
     X = gaussian_pool(rng, 40, 3)
     spec = CriterionSpec(p=1.0)
-    capped = solve_hybrid(X, spec, _cfg(0.1, v=1e-9, inner_max_iters=1, max_outer_iters=5))
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "INNER_MAX_ITERS", 1)
+        m.setattr(solvers, "MAX_OUTER_ITERS", 5)
+        capped = solve_hybrid(X, spec, _cfg(0.1, v=1e-9))
     assert capped.inner_iterations > 0
-    assert 0 < capped.inner_cap_hits <= capped.iterations["refine"]
+    assert 0 < capped.inner_cap_hits <= capped.iterations["refine"] == 5
     assert capped.trace.is_monotone()
     roomy = solve_hybrid(X, spec, _cfg(0.1, v=1e-9))
     assert roomy.converged and roomy.inner_cap_hits == 0
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0])
+def test_each_iterate_evaluated_once(rng, monkeypatch, p):
+    # the boost-to-refine hand-off iterate is evaluated and recorded once:
+    # one evaluation for the start and one after every move
+    calls = Counter()
+
+    def count(fn, moved):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[fn.__name__] += 1
+            calls["moves"] += moved(out)
+            return out
+        monkeypatch.setattr(solvers, fn.__name__, wrapped)
+
+    count(solvers._evaluate, lambda out: 0)
+    count(solvers._restricted, lambda out: 1)
+    count(solvers._boost_once, lambda out: out[1] > 0.0)
+    X = gaussian_pool(rng, 300, 4)
+    res = solve_hybrid(X, CriterionSpec(p=p), _cfg(1.0 / 30, v=1e-9))
+    assert res.converged and res.iterations["refine"] >= 1
+    assert calls["_evaluate"] == calls["moves"] + 1 == len(res.trace)
+    assert res.iterations["refine"] == calls["_restricted"]
 
 
 def test_efficiency_bounds_bracket(rng):

@@ -53,6 +53,30 @@ def _sample_phi0(X: np.ndarray, idx: np.ndarray) -> float:
     return float(np.exp(-logdet / X.shape[1]))
 
 
+def _rank_first(X: np.ndarray, order: np.ndarray) -> list[int]:
+    """The first k points of ``order`` that each raise the rank of those before.
+
+    The pool must have full column rank k.  A point counts as raising the
+    rank when its residual off the span of the points taken keeps more than
+    sqrt(_DEGENERATE) of its norm, the singular-value counterpart of the
+    eigenvalue test on M(S).
+    """
+    k = X.shape[1]
+    basis = np.empty((0, k))
+    taken = []
+    for i in order:
+        x = X[i]
+        r = x - basis.T @ (basis @ x)
+        r = r - basis.T @ (basis @ r)
+        norm = np.linalg.norm(r)
+        if norm > np.sqrt(_DEGENERATE) * np.linalg.norm(x):
+            basis = np.vstack([basis, r / norm])
+            taken.append(int(i))
+            if len(taken) == k:
+                break
+    return taken
+
+
 def backward_select(atoms, n: int) -> BaselineResult:
     """Delete the lowest-leverage point until n remain.
 
@@ -105,9 +129,11 @@ def backward_select(atoms, n: int) -> BaselineResult:
 def exchange_select(atoms, n: int, max_sweeps: int = 20000) -> BaselineResult:
     """Swap lowest-leverage in-sample points for highest-leverage outsiders.
 
-    Starts from the top-n full-pool leverages.  A sweep performs one swap and
-    is accepted only when it increases det M(S); the loop stops at the first
-    non-improving proposal.
+    Starts from the full-pool leverage order: the first k points that raise
+    the rank, then the highest leverages up to n, so that copies of a few
+    high-leverage rows cannot make the start singular.  A sweep performs one
+    swap and is accepted only when it increases det M(S); the loop stops at
+    the first non-improving proposal.
     """
     t0 = time.perf_counter()
     aset = as_atom_set(atoms)
@@ -125,7 +151,9 @@ def exchange_select(atoms, n: int, max_sweeps: int = 20000) -> BaselineResult:
     lev_pool = _leverages(X, np.linalg.inv(M_pool))
     order = np.lexsort((np.arange(N), -lev_pool))
     in_mask = np.zeros(N, dtype=bool)
-    in_mask[order[:n]] = True
+    start = _rank_first(X, order)
+    in_mask[start] = True
+    in_mask[order[~in_mask[order]][:n - len(start)]] = True
 
     M = X[in_mask].T @ X[in_mask]
     lam = np.linalg.eigvalsh(M)

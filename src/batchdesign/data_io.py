@@ -1,13 +1,15 @@
 """CSV ingestion and artifact writers.
 
-Input files are plain CSV with a header row.  Every feature cell must parse
-as a finite float; the first offending cell is reported by row number and
-column name so the user can fix the file rather than guess.
+Input files are plain CSV in UTF-8, with or without a byte-order mark, and a
+header row.  Every feature cell must parse as a finite float; the first
+offending cell is reported by row number and column name so the user can fix
+the file rather than guess.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +37,35 @@ def _parse_cell(text: str, row: int, col: str) -> float:
     return value
 
 
+def _scan_rows(path, rows, header: list[str]) -> np.ndarray:
+    """Parse the body cell by cell: the reference grammar.
+
+    Blank rows are skipped; the first short or long row, unreadable cell or
+    non-finite value raises ``ParseError`` naming its row and column.
+    """
+    vals = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
+        vals.append([_parse_cell(c.strip(), lineno, header[j]) for j, c in enumerate(row)])
+    if not vals:
+        raise EmptyInput(f"{path}: no data rows")
+    return np.asarray(vals, dtype=float)
+
+
 def read_dataset(path, response_col: str | None = None,
                  add_intercept: bool = False) -> Dataset:
     """Load a feature matrix (and optional response column) from CSV.
 
     Row numbers in error messages are 1-based and count the header, matching
-    what a text editor shows.
+    what a text editor shows.  The body goes through numpy's C parser; any
+    file it rejects, or reads into a shape or value the cell scan would not,
+    is parsed again by ``_scan_rows``, which either reads it or names the
+    first bad row or cell.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -55,25 +78,29 @@ def read_dataset(path, response_col: str | None = None,
             raise ParseError(f"{path}: response column {response_col!r} not in header {header}")
         y_pos = header.index(response_col) if response_col is not None else None
 
-        feats, resp = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
-            vals = [_parse_cell(c.strip(), lineno, header[j]) for j, c in enumerate(row)]
-            if y_pos is not None:
-                resp.append(vals.pop(y_pos))
-            feats.append(vals)
+        try:
+            # a body without data rows warns; the row check below rejects it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                Z = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2,
+                               comments=None, quotechar='"')
+            ok = Z.shape[0] > 0 and Z.shape[1] == len(header) and np.isfinite(Z).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            fh.seek(0)
+            rows = csv.reader(fh)
+            next(rows)
+            Z = _scan_rows(path, rows, header)
 
-    if not feats:
-        raise EmptyInput(f"{path}: no data rows")
-    Z = np.asarray(feats, dtype=float)
     names = [h for j, h in enumerate(header) if j != y_pos]
+    y = None
+    if y_pos is not None:
+        y = Z[:, y_pos].copy()
+        Z = np.delete(Z, y_pos, axis=1)
     if add_intercept:
         Z = np.hstack([np.ones((Z.shape[0], 1)), Z])
         names = [INTERCEPT_NAME, *names]
-    y = np.asarray(resp, dtype=float) if y_pos is not None else None
     return Dataset(Z=Z, y=y, feature_names=tuple(names), response_name=response_col)
 
 
@@ -109,10 +136,9 @@ def write_weights_csv(path, weights: np.ndarray, scores: np.ndarray,
     sel = np.zeros(len(weights), dtype=int)
     sel[np.asarray(list(selected), dtype=int)] = 1
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "weight", "score", "selected"])
-        for i in range(len(weights)):
-            writer.writerow([i, f"{weights[i]:.17g}", f"{scores[i]:.17g}", sel[i]])
+        fh.write("index,weight,score,selected\r\n")
+        rows = zip(range(len(weights)), weights.tolist(), scores.tolist(), sel.tolist())
+        fh.writelines("%d,%.17g,%.17g,%d\r\n" % row for row in rows)
 
 
 def write_table_csv(path, header, rows) -> None:

@@ -1,5 +1,6 @@
 """Shared test oracles, coded independently of the library internals."""
 
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -181,3 +182,14 @@ def sample_cumlink(rng, Z, beta, theta):
 
 def spd_criterion(p):
     return CriterionSpec(p=float(p))
+
+
+def write_weights_csv_reference(path, weights, scores, selected):
+    """Reference for data_io.write_weights_csv: one csv.writer row per point."""
+    sel = np.zeros(len(weights), dtype=int)
+    sel[np.asarray(list(selected), dtype=int)] = 1
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "weight", "score", "selected"])
+        for i in range(len(weights)):
+            writer.writerow([i, f"{weights[i]:.17g}", f"{scores[i]:.17g}", sel[i]])

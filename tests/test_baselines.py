@@ -79,6 +79,17 @@ def test_exchange_matches_naive_recompute(rng):
         assert all(b > a for a, b in zip(dets, dets[1:]))
 
 
+def test_exchange_start_spans_duplicated_rows():
+    # 20 distinct rows, each 20 times: the 60 highest leverages are copies of
+    # 3 rows, so a top-n start would be singular
+    X = np.repeat(gaussian_pool(np.random.default_rng(0), 20, 6), 20, axis=0)
+    res = exchange_select(X, 60)
+    assert len(res.sample.indices) == 60
+    assert np.linalg.matrix_rank(X[list(res.sample.indices)]) == 6
+    want = phi_of_subset(X, res.sample.indices, CriterionSpec(p=0.0))
+    assert np.isfinite(want) and res.criterion_value == pytest.approx(want, rel=1e-10)
+
+
 def test_exchange_with_n_equal_pool(rng):
     X = gaussian_pool(rng, 10, 3)
     res = exchange_select(X, 10)

@@ -5,7 +5,7 @@ Phi_p information criteria, round to a sample, and certify its efficiency.
 """
 
 from .atoms import AtomSet, as_atom_set
-from .criteria import CriterionSpec, InfoState, build_info_state, eta, phi_p_leverage, phi_p_scores, tau
+from .criteria import CriterionSpec, InfoState, build_info_state, phi_p_scores
 from .errors import (
     DegenerateCategory,
     DesignError,
@@ -35,9 +35,7 @@ from .measures import (
 from .models import (
     CumulativeLinkSpec,
     LogisticModelSpec,
-    cumlink_atom,
     cumlink_atoms,
-    generic_atoms,
     logistic_atoms,
     standardize_features,
 )
@@ -46,11 +44,7 @@ from .solvers import (
     SolverConfig,
     SolveResult,
     SolveTrace,
-    boost_step,
     efficiency_bounds,
-    optimality_gap,
-    restricted_minimize,
-    solve_active_set,
     solve_hybrid,
 )
 from .baselines import BaselineResult, backward_select, exchange_select

@@ -7,7 +7,6 @@ with periodic rebuilds to shed accumulated roundoff.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,8 @@ from .measures import SampleSet
 _REBUILD_EVERY = 512
 # leverage denominators below this mark a deletion that would kill rank
 _DEGENERATE = 1e-12
+# exchange_select stops after this many accepted swaps
+_MAX_SWEEPS = 20000
 
 
 @dataclass
@@ -27,7 +28,6 @@ class BaselineResult:
     sample: SampleSet
     criterion_value: float
     iterations: int
-    wall_time: float
 
 
 def _leverages(X: np.ndarray, M_inv: np.ndarray) -> np.ndarray:
@@ -83,7 +83,6 @@ def backward_select(atoms, n: int) -> BaselineResult:
     Each step scans leverages x^T M(S)^-1 x over the current sample and
     removes the minimizer with a rank-one downdate of the inverse.
     """
-    t0 = time.perf_counter()
     aset = as_atom_set(atoms)
     if aset.kind != "vector":
         raise ValueError("backward deletion requires rank-one atoms")
@@ -122,11 +121,10 @@ def backward_select(atoms, n: int) -> BaselineResult:
     chosen = np.sort(idx[:size])
     return BaselineResult(sample=SampleSet(tuple(chosen)),
                           criterion_value=_sample_phi0(X, chosen),
-                          iterations=steps,
-                          wall_time=time.perf_counter() - t0)
+                          iterations=steps)
 
 
-def exchange_select(atoms, n: int, max_sweeps: int = 20000) -> BaselineResult:
+def exchange_select(atoms, n: int) -> BaselineResult:
     """Swap lowest-leverage in-sample points for highest-leverage outsiders.
 
     Starts from the full-pool leverage order: the first k points that raise
@@ -135,7 +133,6 @@ def exchange_select(atoms, n: int, max_sweeps: int = 20000) -> BaselineResult:
     swap and is accepted only when it increases det M(S); the loop stops at
     the first non-improving proposal.
     """
-    t0 = time.perf_counter()
     aset = as_atom_set(atoms)
     if aset.kind != "vector":
         raise ValueError("exchange requires rank-one atoms")
@@ -163,7 +160,7 @@ def exchange_select(atoms, n: int, max_sweeps: int = 20000) -> BaselineResult:
 
     all_idx = np.arange(N)
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < _MAX_SWEEPS:
         lev = _leverages(X, M_inv)
         ins = np.flatnonzero(in_mask)
         outs = np.flatnonzero(~in_mask)
@@ -194,5 +191,4 @@ def exchange_select(atoms, n: int, max_sweeps: int = 20000) -> BaselineResult:
     chosen = np.flatnonzero(in_mask)
     return BaselineResult(sample=SampleSet(tuple(chosen)),
                           criterion_value=_sample_phi0(X, chosen),
-                          iterations=sweeps,
-                          wall_time=time.perf_counter() - t0)
+                          iterations=sweeps)

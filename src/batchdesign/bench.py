@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,18 +56,10 @@ class BenchResult:
     p: float
     rows: list[BenchRow] = field(default_factory=list)
 
-    def row(self, method: str) -> BenchRow:
-        for r in self.rows:
-            if r.method == method:
-                return r
-        raise KeyError(method)
 
-
-def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
+def run_bench(atoms: AtomSet, n: int, solver_cfg: SolverConfig, p: float = 0.0,
               methods=BENCH_METHODS,
-              time_budget: float | None = None,
-              solver_cfg: SolverConfig | None = None,
-              reference: Measure | None = None) -> BenchResult:
+              time_budget: float | None = None) -> BenchResult:
     """Time each selection method and certify it against a tightly solved
     relaxation of the same instance.
 
@@ -75,13 +67,13 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
     skipped with an explanatory note instead of blocking the run.  A method
     that raises, in selection or in certification, and a hybrid solve that
     misses its gap target, are recorded with a note and a status rather
-    than stopping the run.  A precomputed reference measure (solved to
-    REFERENCE_GAP) avoids repeating the expensive certification solve
-    across benchmarks of one instance.
+    than stopping the run.  ``solver_cfg`` configures the hybrid method;
+    every method is certified against a relaxation solved at epsilon = 1/n
+    to REFERENCE_GAP, whatever that config's epsilon.
     """
     spec = CriterionSpec(p=p)
     N = len(atoms)
-    w_ref = reference if reference is not None else _solve_reference(atoms, spec, n)
+    w_ref = _solve_reference(atoms, spec, n)
     result = BenchResult(N=N, k=atoms.k, n=n, p=p)
 
     for method in methods:
@@ -89,14 +81,11 @@ def run_bench(atoms: AtomSet, n: int, p: float = 0.0,
         status, note = "ok", ""
         try:
             if method == "hybrid":
-                cfg = solver_cfg if solver_cfg is not None else SolverConfig(epsilon=1.0 / n)
-                if cfg.epsilon is None:
-                    cfg = replace(cfg, epsilon=1.0 / n)
-                res = solve_hybrid(atoms, spec, cfg)
+                res = solve_hybrid(atoms, spec, solver_cfg)
                 sample = round_to_sample(res.w, n, res.scores)
                 if not res.converged:
                     status = "nonconverged"
-                    note = f"not converged: gap {res.gap_ratio:.3g} > {cfg.target_gap:.3g}"
+                    note = f"not converged: gap {res.gap_ratio:.3g} > {solver_cfg.target_gap:.3g}"
             elif method == "exchange":
                 sample = exchange_select(atoms, n).sample
             elif method == "backward":

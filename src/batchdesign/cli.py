@@ -242,8 +242,11 @@ def _write_report(args, t0: float, params: dict, results: dict, timings: dict | 
 def _solve_for_sample(args, atoms: AtomSet, G, n: int):
     """Solve the relaxation that certifies size-n samples: (spec, cfg, result, seconds)."""
     _require_rank(atoms, n)
-    spec = CriterionSpec(p=float(args.p), G=G)
     cfg = _solver_config(args, n)
+    if cfg.epsilon < 1.0 / n:
+        raise ParseError(f"--epsilon {cfg.epsilon:g} is below 1/n = {1.0 / n:g}: a size-{n} sample "
+                         "is not feasible for that relaxation, so it cannot be certified")
+    spec = CriterionSpec(p=float(args.p), G=G)
     t_solve = time.perf_counter()
     res = solve_hybrid(atoms, spec, cfg)
     return spec, cfg, res, time.perf_counter() - t_solve
@@ -289,7 +292,7 @@ def cmd_select(args) -> int:
 
 def _read_candidate_indices(path, N: int) -> list[int]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             tokens = fh.read().replace(",", " ").split()
     except OSError as exc:
         raise ParseError(f"cannot read candidate file: {exc}") from None
@@ -359,8 +362,8 @@ def cmd_bench(args) -> int:
     n = _require_budget(args.n, len(atoms), allow_full=True)
     _require_rank(atoms, n)
     cfg = _solver_config(args, n)
-    bench = run_bench(atoms, n, p=float(args.p), methods=methods,
-                      time_budget=args.time_budget, solver_cfg=cfg)
+    bench = run_bench(atoms, n, solver_cfg=cfg, p=float(args.p), methods=methods,
+                      time_budget=args.time_budget)
 
     table_path = os.path.join(_out_dir(args), "table.csv")
     write_table_csv(table_path,

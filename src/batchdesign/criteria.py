@@ -32,6 +32,8 @@ from .errors import DimensionMismatch, SingularInformation
 EIG_FLOOR = 1e-14
 # relative eigenvalue threshold below which M counts as singular
 SINGULAR_RTOL = 1e-12
+# step in alpha of the finite-difference curvature along a blend
+TAU_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -126,14 +128,14 @@ def build_info_state(atoms, w, spec: CriterionSpec) -> InfoState:
     return info_state_from_m(aset.weighted_sum(weights), spec)
 
 
-def _leverage_core(state: InfoState, spec: CriterionSpec) -> tuple[float, np.ndarray]:
-    """Shared coefficient and quadratic-form matrix for leverage computation.
+def phi_p_scores(atoms, state: InfoState, spec: CriterionSpec) -> np.ndarray:
+    """Generalized leverage of every pool point at the weighting behind state.
 
-    Returns (coef, B) with phi_p(x, w) = coef * Tr(B M_x).  B is
-    M^-1 G^T Sigma^(p-1) G M^-1; for the identity transform the Sigma
-    eigenbasis collapses this to a single eigen-rescaling, and for p = 0 it
-    is just M^-1.
+    phi_p(x, w) = coef * Tr(B M_x) with B = M^-1 G^T Sigma^(p-1) G M^-1; for
+    the identity transform the Sigma eigenbasis collapses B to a single
+    eigen-rescaling, and for p = 0 it is just M^-1.
     """
+    aset = as_atom_set(atoms)
     lam = state.sigma_eigvals
     q = lam.shape[0]
     p = spec.p
@@ -152,62 +154,25 @@ def _leverage_core(state: InfoState, spec: CriterionSpec) -> tuple[float, np.nda
         W = (V * lam ** (p - 1.0)) @ V.T
         C = state.M_inv @ spec.G.T
         B = C @ W @ C.T
-    return coef, 0.5 * (B + B.T)
+    return coef * aset.quad_forms(0.5 * (B + B.T))
 
 
-def phi_p_scores(atoms, state: InfoState, spec: CriterionSpec) -> np.ndarray:
-    """Generalized leverage of every pool point at the weighting behind state."""
-    aset = as_atom_set(atoms)
-    coef, B = _leverage_core(state, spec)
-    return coef * aset.quad_forms(B)
+def _tau_blend(M0: np.ndarray, M1: np.ndarray, spec: CriterionSpec, phi0: float) -> float:
+    """Second derivative of the criterion along the blend (1 - alpha) M0 + alpha M1.
 
-
-def phi_p_leverage(atom, state: InfoState, spec: CriterionSpec) -> float:
-    """Generalized leverage of a single point."""
-    coef, B = _leverage_core(state, spec)
-    arr = np.asarray(atom, dtype=float)
-    if arr.ndim == 1:
-        return float(coef * (arr @ B @ arr))
-    return float(coef * np.sum(B * arr))
-
-
-def eta(w_prime, w, atoms, spec: CriterionSpec) -> float:
-    """Derivative of the criterion at alpha = 0 along (1-alpha) w + alpha w_prime.
-
-    Equals -(sum_i w'_i phi_p(x_i, w) - Phi_p), so it is nonnegative for every
-    feasible w_prime exactly when w is optimal.
+    Central second difference with step TAU_STEP on alpha -> Phi_p; phi0 is
+    Phi_p(M0), which the caller already holds, so only the two probes are
+    factorized.  Clamped below at zero.  If a probe is singular the step is
+    reduced once by a factor of ten; if that probe is singular too, raises
+    SingularInformation.
     """
-    aset = as_atom_set(atoms)
-    state = build_info_state(aset, w, spec)
-    scores = phi_p_scores(aset, state, spec)
-    wp = np.asarray(getattr(w_prime, "weights", w_prime), dtype=float)
-    return float(state.phi_value - wp @ scores)
-
-
-def tau(w_prime, w, atoms, spec: CriterionSpec, h: float = 1e-4) -> float:
-    """Second derivative of the criterion along the segment from w to w_prime.
-
-    Central second difference with step h on alpha -> Phi_p(M(alpha)); the
-    blend of information matrices is linear in alpha so only two extra
-    factorizations are needed.  Clamped below at zero.  If a probe point is
-    singular the step is reduced once by a factor of ten; if that probe is
-    singular too, raises SingularInformation.
-    """
-    aset = as_atom_set(atoms)
-    M0 = aset.weighted_sum(np.asarray(getattr(w, "weights", w), dtype=float))
-    M1 = aset.weighted_sum(np.asarray(getattr(w_prime, "weights", w_prime), dtype=float))
-    return _tau_blend(M0, M1, spec, h)
-
-
-def _tau_blend(M0: np.ndarray, M1: np.ndarray, spec: CriterionSpec, h: float = 1e-4) -> float:
-    """tau on the blend (1 - alpha) M0 + alpha M1 of two information matrices."""
     def value(alpha: float) -> float:
         return info_state_from_m((1.0 - alpha) * M0 + alpha * M1, spec).phi_value
 
     last_err = None
-    for step in (h, h / 10.0):
+    for step in (TAU_STEP, TAU_STEP / 10.0):
         try:
-            second = (value(step) - 2.0 * value(0.0) + value(-step)) / (step * step)
+            second = (value(step) - 2.0 * phi0 + value(-step)) / (step * step)
         except SingularInformation as err:
             last_err = err
             continue

@@ -133,25 +133,6 @@ def cumlink_atoms(Z, spec: CumulativeLinkSpec) -> AtomSet:
     return AtomSet.from_matrices(mats, validate=False)
 
 
-def cumlink_atom(z, spec: CumulativeLinkSpec) -> np.ndarray:
-    """Information matrix (k, k) of a single design point."""
-    return cumlink_atoms(np.atleast_2d(z), spec).data[0]
-
-
-def generic_atoms(matrices) -> AtomSet:
-    """Wrap user-supplied symmetric PSD matrices as atoms.
-
-    Mild asymmetry is symmetrized silently via (A + A^T) / 2; meaningful
-    negative eigenvalues raise NotPSD.
-    """
-    mats = np.asarray(matrices, dtype=float)
-    if mats.ndim == 2:
-        mats = mats[None]
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise DimensionMismatch("expected matrices of shape (N, k, k)")
-    return AtomSet.from_matrices(mats, validate=True)
-
-
 @dataclass(frozen=True)
 class StandardizeResult:
     Z: np.ndarray

@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 
-import jsonschema
-
 SCHEMA_VERSION = "1"
 
 REPORT_SCHEMA = {
@@ -56,6 +54,9 @@ def make_report(command: str, params: dict, results: dict, timings: dict,
 
 
 def validate_report(report: dict) -> None:
+    # imported here: jsonschema is a third of the CLI's import time
+    import jsonschema
+
     jsonschema.validate(report, REPORT_SCHEMA)
 
 

@@ -38,6 +38,7 @@ from .criteria import (
 )
 from .errors import InfeasibleEpsilon, SingularInformation
 from .measures import (
+    CAP_SLACK,
     Measure,
     _greedy_linear_max,
     active_set_split,
@@ -148,20 +149,6 @@ class SolveTrace:
 
 
 @dataclass
-class GapResult:
-    gap_ratio: float
-    sg: Measure
-    phi_value: float
-    scores: np.ndarray
-
-
-@dataclass
-class BoostStep:
-    w_next: Measure
-    alpha: float
-
-
-@dataclass
 class SolveResult:
     w: Measure
     trace: SolveTrace
@@ -211,20 +198,13 @@ def _pin_scores(scores: np.ndarray, pinned: np.ndarray | None) -> np.ndarray:
 
 
 def _evaluate(aset: AtomSet, w: Measure, spec: CriterionSpec,
-              pinned: np.ndarray | None = None, sg: Measure | None = None) -> _Eval:
+              pinned: np.ndarray | None = None) -> _Eval:
     state = build_info_state(aset, w, spec)
     scores = phi_p_scores(aset, state, spec)
-    if sg is None:
-        sg = sg_measure(_pin_scores(scores, pinned), w.epsilon)
+    sg = sg_measure(_pin_scores(scores, pinned), w.epsilon)
     lin = float(sg.weights @ scores)
     gap_ratio = (lin - state.phi_value) / state.phi_value
     return _Eval(state, scores, sg, lin, gap_ratio)
-
-
-def optimality_gap(w: Measure, atoms, spec: CriterionSpec) -> GapResult:
-    """Relative equivalence gap of w and the maximizing steepest-gradient measure."""
-    ev = _evaluate(as_atom_set(atoms), w, spec)
-    return GapResult(ev.gap_ratio, ev.sg, ev.state.phi_value, ev.scores)
 
 
 def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec) -> tuple[Measure, float]:
@@ -234,7 +214,7 @@ def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec) -> tu
         return w, 0.0
     M_sg = aset.weighted_sum(ev.sg.weights)
     try:
-        tau_value = _tau_blend(ev.state.M, M_sg, spec)
+        tau_value = _tau_blend(ev.state.M, M_sg, spec, ev.state.phi_value)
     except SingularInformation:
         # both curvature probes left the PD cone: the step cap and the
         # halving line search below still bound the move
@@ -258,16 +238,8 @@ def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec) -> tu
     return Measure(wts, w.epsilon), alpha
 
 
-def boost_step(w: Measure, sg: Measure, atoms, spec: CriterionSpec) -> BoostStep:
-    """One damped move from w toward sg; alpha = 0 is a legal outcome."""
-    aset = as_atom_set(atoms)
-    ev = _evaluate(aset, w, spec, sg=sg)
-    w_next, alpha = _boost_once(aset, w, ev, spec)
-    return BoostStep(w_next, alpha)
-
-
-def restricted_minimize(w: Measure, sg: Measure, atoms, spec: CriterionSpec,
-                        pinned: np.ndarray | None = None) -> Measure:
+def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
+                pinned: np.ndarray | None, phi_ref: float) -> tuple[Measure, float, int, bool]:
     """Minimize the criterion with bound-agreeing coordinates pinned.
 
     Points at the cap in both w and sg stay at the cap, points at zero in
@@ -278,16 +250,11 @@ def restricted_minimize(w: Measure, sg: Measure, atoms, spec: CriterionSpec,
     the iterate to that projection in information space: a trial costs one
     k x k factorization of M + t * M_d.  A trial is accepted under an Armijo
     rule against the largest criterion value of the last NONMONOTONE_WINDOW
-    iterates, so single steps may go uphill; the best iterate is returned,
-    and the result never has a larger criterion value than w.
+    iterates, so single steps may go uphill; the best iterate is kept, and
+    the result never has a larger criterion value than phi_ref = Phi_p(w).
+    Returns (measure, its criterion value, SPG steps, whether the step cap
+    was hit).
     """
-    aset = as_atom_set(atoms)
-    phi_ref = build_info_state(aset, w, spec).phi_value
-    return _restricted(aset, w, sg, spec, pinned, phi_ref)[0]
-
-
-def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
-                pinned: np.ndarray | None, phi_ref: float) -> tuple[Measure, float, int, bool]:
     eps = w.epsilon
     t1, t2 = active_set_split(w, sg)
     if pinned is not None:
@@ -382,20 +349,43 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     return Measure(full, eps), float(state.phi_value), inner, cap_hit
 
 
-def _solve(aset: AtomSet, w: Measure, spec: CriterionSpec, cfg: SolverConfig,
-           pinned: np.ndarray | None, boosting: bool) -> SolveResult:
-    """Evaluate, record and test the iterate, then make one move, until done.
+def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
+                 pinned: np.ndarray | None = None) -> SolveResult:
+    """Boost-then-refine solve of the capped-simplex relaxation.
 
-    The move is a boost step while boosting, which ends once the gap reaches
-    v0, a step is zero or MAX_BOOST_ITERS steps were taken.  After that it
-    is a restricted solve on the projected steepest-gradient split, except
-    that a restricted solve which stalled is followed by one boost step.
+    Starts from the projected steepest-gradient measure of the uniform
+    weighting.  Each pass evaluates, records and tests the iterate, then
+    makes one move.  The move is a boost step until the gap reaches v0, a
+    step is zero or MAX_BOOST_ITERS steps were taken.  After that it is a
+    restricted solve on the projected steepest-gradient split until the gap
+    reaches v (skipped when v >= v0 or skip_refine is set), except that a
+    restricted solve which stalled is followed by one boost step.
+    ``pinned`` indices are held at the cap throughout, which is how
+    already-purchased points enter.
     """
+    aset = as_atom_set(atoms)
+    if cfg.epsilon is None:
+        raise ValueError("cfg.epsilon must be set")
+    eps = float(cfg.epsilon)
+    N = len(aset)
+    if N * eps < 1.0 - 1e-9:
+        raise InfeasibleEpsilon(f"N * epsilon = {N * eps:.6g} < 1")
+    if pinned is not None:
+        pinned = np.asarray(pinned)
+        if pinned.dtype == bool:
+            pinned = np.flatnonzero(pinned)
+        if pinned.size * eps > 1.0 + 1e-9:
+            raise InfeasibleEpsilon("pinned points alone exceed total mass one")
+
+    uniform = Measure(np.full(N, 1.0 / N), eps)
+    state_u = build_info_state(aset, uniform, spec)
+    scores_u = phi_p_scores(aset, state_u, spec)
+    w = psg_measure(_pin_scores(scores_u, pinned), eps, aset, fallback=uniform)
     t0 = time.perf_counter()
     trace = SolveTrace()
     iterations = {"boost": 0, "refine": 0}
     inner_total = cap_hits = 0
-    phase, alpha, stalled = ("boost" if boosting else "refine"), np.nan, False
+    phase, alpha, boosting, stalled = "boost", np.nan, True, False
     while True:
         ev = _evaluate(aset, w, spec, pinned)
         t1, t2 = active_set_split(w, ev.sg)
@@ -435,55 +425,25 @@ def _solve(aset: AtomSet, w: Measure, spec: CriterionSpec, cfg: SolverConfig,
                        inner_iterations=inner_total, inner_cap_hits=cap_hits)
 
 
-def solve_active_set(w0: Measure, atoms, spec: CriterionSpec, cfg: SolverConfig,
-                     pinned: np.ndarray | None = None) -> SolveResult:
-    """Active-set iteration from a feasible start until the gap reaches v."""
-    return _solve(as_atom_set(atoms), w0, spec, cfg, pinned, boosting=False)
-
-
-def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
-                 pinned: np.ndarray | None = None) -> SolveResult:
-    """Boost-then-refine solve of the capped-simplex relaxation.
-
-    Starts from the steepest-gradient measure of the uniform weighting,
-    boosts until the gap reaches v0, then runs the active-set refinement to v
-    (skipped when v >= v0 or skip_refine is set).  ``pinned`` indices are held
-    at the cap throughout, which is how already-purchased points enter.
-    """
-    aset = as_atom_set(atoms)
-    if cfg.epsilon is None:
-        raise ValueError("cfg.epsilon must be set")
-    eps = float(cfg.epsilon)
-    N = len(aset)
-    if N * eps < 1.0 - 1e-9:
-        raise InfeasibleEpsilon(f"N * epsilon = {N * eps:.6g} < 1")
-    pinned_idx = None
-    if pinned is not None:
-        pinned_idx = np.asarray(pinned)
-        if pinned_idx.dtype == bool:
-            pinned_idx = np.flatnonzero(pinned_idx)
-        if pinned_idx.size * eps > 1.0 + 1e-9:
-            raise InfeasibleEpsilon("pinned points alone exceed total mass one")
-
-    uniform = Measure(np.full(N, 1.0 / N), eps)
-    state_u = build_info_state(aset, uniform, spec)
-    scores_u = phi_p_scores(aset, state_u, spec)
-    w = psg_measure(_pin_scores(scores_u, pinned_idx), eps, aset, fallback=uniform)
-    return _solve(aset, w, spec, cfg, pinned_idx, boosting=True)
-
-
 def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,
                       spec: CriterionSpec) -> EfficiencyBounds:
     """Efficiency bracket of a candidate measure against a solved relaxation.
 
-    Requires the candidate to be feasible for the solved relaxation's cap so
-    the certified bound transfers (epsilon = 1/n covers every size-n sample).
+    The certified bound transfers only to a candidate that is feasible for
+    the solved relaxation's cap (epsilon = 1/n covers every size-n sample);
+    a candidate weight above that cap raises InfeasibleEpsilon.
     """
     aset = as_atom_set(atoms)
+    top = float(w_candidate.weights.max())
+    if top > w_solved.epsilon + CAP_SLACK:
+        raise InfeasibleEpsilon(
+            f"candidate weight {top:.6g} exceeds the solved cap epsilon = "
+            f"{w_solved.epsilon:.6g}, so the certificate does not apply")
     phi_candidate = build_info_state(aset, w_candidate, spec).phi_value
-    gap = optimality_gap(w_solved, aset, spec)
-    ratio = gap.phi_value / phi_candidate
-    certified = gap.phi_value * (1.0 - max(gap.gap_ratio, 0.0)) / phi_candidate
+    ev = _evaluate(aset, w_solved, spec)
+    phi = ev.state.phi_value
+    ratio = phi / phi_candidate
+    certified = phi * (1.0 - max(ev.gap_ratio, 0.0)) / phi_candidate
     return EfficiencyBounds(ratio=float(ratio), certified_lower_bound=float(certified),
-                            solved_gap_ratio=float(gap.gap_ratio),
+                            solved_gap_ratio=float(ev.gap_ratio),
                             phi_candidate=float(phi_candidate))

@@ -1,4 +1,8 @@
-"""Shared test oracles, coded independently of the library internals."""
+"""Shared test oracles, coded independently of the library internals.
+
+The exception is ``tau``: it runs criteria._tau_blend, the curvature the
+boost step uses, so the tests of ``tau`` test that code.
+"""
 
 import csv
 from itertools import combinations
@@ -9,10 +13,13 @@ from batchdesign import (
     CriterionSpec,
     Measure,
     SampleSet,
+    as_atom_set,
     build_info_state,
     measure_of_sample,
+    phi_p_scores,
     project_capped_simplex,
 )
+from batchdesign.criteria import _tau_blend, info_state_from_m
 from batchdesign.errors import SingularInformation
 from batchdesign.measures import MASS_TOL
 
@@ -127,6 +134,30 @@ def phi_direct(M, p, G=None):
 def blend_phi(atoms, w_a, w_b, alpha, spec):
     wts = (1.0 - alpha) * np.asarray(w_a.weights) + alpha * np.asarray(w_b.weights)
     return build_info_state(atoms, wts, spec).phi_value
+
+
+def _weights(w):
+    return np.asarray(getattr(w, "weights", w), dtype=float)
+
+
+def eta(w_prime, w, atoms, spec):
+    """Derivative of the criterion at alpha = 0 along (1-alpha) w + alpha w_prime.
+
+    Equals -(sum_i w'_i phi_p(x_i, w) - Phi_p), so it is nonnegative for every
+    feasible w_prime exactly when w is optimal.
+    """
+    state = build_info_state(atoms, w, spec)
+    scores = phi_p_scores(atoms, state, spec)
+    return float(state.phi_value - _weights(w_prime) @ scores)
+
+
+def tau(w_prime, w, atoms, spec):
+    """Second derivative of the criterion along the segment from w to w_prime,
+    by the boost step's finite difference on the blend of information matrices."""
+    aset = as_atom_set(atoms)
+    M0 = aset.weighted_sum(_weights(w))
+    M1 = aset.weighted_sum(_weights(w_prime))
+    return _tau_blend(M0, M1, spec, info_state_from_m(M0, spec).phi_value)
 
 
 def sigmoid(t):

@@ -14,22 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import best_subset, blend_phi, gaussian_pool, random_feasible, sigmoid
+from helpers import best_subset, blend_phi, eta, gaussian_pool, random_feasible, sigmoid, tau
 from batchdesign.baselines import backward_select, exchange_select
 from batchdesign.bench import REFERENCE_GAP, make_gaussian_pool, run_cross_criteria
 from batchdesign.cli import main
-from batchdesign.criteria import (
-    CriterionSpec,
-    build_info_state,
-    eta,
-    phi_p_scores,
-    tau,
-)
+from batchdesign.criteria import CriterionSpec, build_info_state, phi_p_scores
 from batchdesign.measures import measure_of_sample, round_to_sample, trichotomy_check
 from batchdesign.models import (
     CumulativeLinkSpec,
     LogisticModelSpec,
-    cumlink_atom,
+    cumlink_atoms,
     logistic_atoms,
 )
 from batchdesign.pipeline import bootstrap_evaluate
@@ -293,7 +287,7 @@ def test_model_adapters_match_oracles():
         z = rng.standard_normal(d)
         b = rng.uniform(-1.0, 1.0, d)
         cuts = random_cuts(J)
-        got = cumlink_atom(z, CumulativeLinkSpec(beta=b, theta_cuts=cuts))
+        got = cumlink_atoms(z[None], CumulativeLinkSpec(beta=b, theta_cuts=cuts)).data[0]
         want = cumlink_info_fd(z, b, cuts)
         if not np.allclose(got, want, rtol=1e-5, atol=1e-5):
             fd_bad += 1
@@ -304,7 +298,7 @@ def test_model_adapters_match_oracles():
         z = rng.standard_normal(d)
         b = rng.uniform(-1.0, 1.0, d)
         cut = float(rng.uniform(-1.0, 1.0))
-        got = cumlink_atom(z, CumulativeLinkSpec(beta=b, theta_cuts=[cut]))
+        got = cumlink_atoms(z[None], CumulativeLinkSpec(beta=b, theta_cuts=[cut])).data[0]
         # two categories collapse to a binary logit on (z, -1) with the
         # cutpoint appended as one more coefficient
         aug = np.append(z, -1.0)

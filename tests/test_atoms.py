@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from batchdesign import AtomSet, CriterionSpec, SolverConfig, as_atom_set, generic_atoms, solve_hybrid
+from batchdesign import AtomSet, CriterionSpec, SolverConfig, as_atom_set, solve_hybrid
 from batchdesign.errors import DimensionMismatch, NonFiniteAtom, NotPSD
 
 
@@ -94,6 +94,6 @@ def test_non_finite_pools_raise_typed_error(rng):
     mats = np.stack([np.eye(3)] * 5)
     mats[3, 0, 0] = np.inf
     with pytest.raises(NonFiniteAtom, match="atom 3"):
-        generic_atoms(mats)
+        AtomSet.from_matrices(mats)
     with pytest.raises(NonFiniteAtom, match="atom 3"):
         AtomSet.from_matrices(mats, validate=False)

@@ -111,6 +111,39 @@ def test_efficiency_candidate_errors(pool_csv, tmp_path):
     assert main(["efficiency", "--input", str(pool_csv), "--candidate", str(bad)]) == 2
 
 
+def test_candidate_file_with_byte_order_mark(pool_csv, tmp_path):
+    # Windows editors save UTF-8 text with a byte-order mark before "index"
+    cand = tmp_path / "cand.txt"
+    cand.write_bytes(b"\xef\xbb\xbfindex\r\n0\r\n3\r\n5\r\n7\r\n")
+    out = tmp_path / "out"
+    assert main(["efficiency", "--input", str(pool_csv), "--candidate", str(cand),
+                 "--output-dir", str(out)]) == 0
+    assert _report(out)["results"]["candidate_indices"] == [0, 3, 5, 7]
+
+
+def test_epsilon_below_one_over_n_exits_2_before_solving(tmp_path, monkeypatch, capsys):
+    # a size-4 sample weighs 1/4 per point, which a relaxation capped at 0.1
+    # does not contain, so that relaxation cannot certify it
+    rng = np.random.default_rng(5)
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("x\n" + "".join(f"{v:.12g}\n" for v in rng.standard_normal(12)))
+    cand = tmp_path / "cand.txt"
+    cand.write_text("0\n3\n5\n7\n")
+    out = ["--input", str(tiny), "--add-intercept", "--epsilon", "0.1",
+           "--output-dir", str(tmp_path / "out")]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --epsilon")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "solve_hybrid", no_solve)
+        for argv in (["select", "--n", "4"], ["efficiency", "--candidate", str(cand)]):
+            assert main(argv + out) == 2
+            err = capsys.readouterr().err
+            assert "--epsilon 0.1" in err and "1/n = 0.25" in err
+    assert main(["select", "--n", "10"] + out) == 0
+
+
 def test_input_errors_exit_2(pool_csv, tmp_path):
     assert main(["select", "--input", str(tmp_path / "missing.csv"), "--n", "5"]) == 2
     assert main(["select", "--input", str(pool_csv)]) == 2  # no --n

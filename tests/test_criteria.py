@@ -4,17 +4,15 @@ import sympy
 from hypothesis import given, strategies as st
 
 from batchdesign import (
+    AtomSet,
     CriterionSpec,
     build_info_state,
-    eta,
-    phi_p_leverage,
     phi_p_scores,
-    tau,
 )
 from batchdesign.criteria import info_state_from_m
 from batchdesign.errors import DimensionMismatch, SingularInformation
 
-from helpers import blend_phi, gaussian_pool, phi_direct, random_feasible
+from helpers import blend_phi, eta, gaussian_pool, phi_direct, random_feasible, tau
 
 
 def test_spec_validation():
@@ -101,17 +99,16 @@ def test_leverage_is_negated_weight_derivative(rng, p, with_g):
         assert -fd == pytest.approx(scores[i], rel=2e-5, abs=1e-10)
 
 
-def test_leverage_single_matches_vectorized(rng):
+def test_matrix_atoms_score_like_vector_atoms(rng):
+    # the atoms x x^T as k x k matrices give the same leverages as the rows x
     X = gaussian_pool(rng, 8, 3)
     w = random_feasible(rng, 8, 0.3, measure=False)
-    spec = CriterionSpec(p=2.0)
-    state = build_info_state(X, w, spec)
-    scores = phi_p_scores(X, state, spec)
-    for i in range(8):
-        assert phi_p_leverage(X[i], state, spec) == pytest.approx(scores[i], rel=1e-12)
-        assert phi_p_leverage(np.outer(X[i], X[i]), state, spec) == pytest.approx(
-            scores[i], rel=1e-12
-        )
+    outer = AtomSet.from_matrices(np.einsum("ni,nj->nij", X, X))
+    for G in (None, rng.standard_normal((2, 3))):
+        spec = CriterionSpec(p=2.0, G=G)
+        state = build_info_state(X, w, spec)
+        scores = phi_p_scores(X, state, spec)
+        assert np.allclose(phi_p_scores(outer, state, spec), scores, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 2.0])

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from batchdesign import (
+    AtomSet,
     CumulativeLinkSpec,
     LogisticModelSpec,
-    cumlink_atom,
     cumlink_atoms,
-    generic_atoms,
     logistic_atoms,
     standardize_features,
 )
@@ -142,7 +141,7 @@ def test_cumlink_atom_matches_fd_information(rng):
         cuts = np.sort(rng.standard_normal(2))
         if cuts[1] - cuts[0] < 0.1:
             cuts[1] = cuts[0] + 0.1
-        atom = cumlink_atom(z, _spec(beta, cuts))
+        atom = cumlink_atoms(z[None], _spec(beta, cuts)).data[0]
         want = cumlink_info_fd(z, beta, cuts)
         assert np.allclose(atom, want, rtol=1e-5, atol=1e-7)
 
@@ -154,7 +153,7 @@ def test_two_category_model_reduces_to_logistic(rng):
         z = rng.standard_normal(3)
         beta = rng.standard_normal(3) * 0.5
         theta = float(rng.standard_normal())
-        atom = cumlink_atom(z, _spec(beta, [theta]))
+        atom = cumlink_atoms(z[None], _spec(beta, [theta])).data[0]
         p = sigmoid(float(z @ beta) - theta)
         aug = np.concatenate([z, [-1.0]])
         want = p * (1.0 - p) * np.outer(aug, aug)
@@ -181,12 +180,12 @@ def test_degenerate_category_raises():
 
 
 def test_generic_atoms_wrap_and_validate():
-    aset = generic_atoms(np.eye(2))
+    aset = AtomSet.from_matrices(np.eye(2)[None])
     assert len(aset) == 1 and aset.kind == "matrix"
     with pytest.raises(DimensionMismatch):
-        generic_atoms(np.ones((2, 2, 3)))
+        AtomSet.from_matrices(np.ones((2, 2, 3)))
     with pytest.raises(NotPSD):
-        generic_atoms(np.diag([1.0, -1.0]))
+        AtomSet.from_matrices(np.diag([1.0, -1.0])[None])
 
 
 def test_standardize_matches_numpy(rng):

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+
+import batchdesign
 
 from batchdesign.reports import (
     SCHEMA_VERSION,
@@ -61,3 +67,12 @@ def test_strip_volatile_keeps_deterministic_keys():
     assert core["params"] == {"n": 1} and core["results"] == {"v": 2.0}
     rep2 = make_report("select", {"n": 1}, {"v": 2.0}, {"total_seconds": 99.0}, seed=1)
     assert strip_volatile(rep2) == core
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # jsonschema is imported when a report is validated, not with the CLI
+    src = str(Path(batchdesign.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, batchdesign.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

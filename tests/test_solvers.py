@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,26 +8,30 @@ from batchdesign import (
     CriterionSpec,
     Measure,
     SolverConfig,
-    boost_step,
+    as_atom_set,
     build_info_state,
     efficiency_bounds,
     measure_of_sample,
-    optimality_gap,
-    restricted_minimize,
     round_to_sample,
     sg_measure,
-    solve_active_set,
     solve_hybrid,
-    tau,
 )
 from batchdesign import solvers
 from batchdesign.errors import InfeasibleEpsilon, SingularInformation
 
-from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible
+from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible, tau
 
 
 def _cfg(eps, **kw):
     return SolverConfig(epsilon=eps, **kw)
+
+
+def _boost(w, sg, X, spec):
+    """One boost step from w toward sg: (w_next, alpha)."""
+    aset = as_atom_set(X)
+    ev = solvers._evaluate(aset, w, spec)
+    ev = replace(ev, sg=sg, lin=float(sg.weights @ ev.scores))
+    return solvers._boost_once(aset, w, ev, spec)
 
 
 def test_config_validation_and_modes():
@@ -60,13 +65,13 @@ def test_relaxation_bound_transfers_to_every_subset(rng, p):
 
 
 def test_random_starts_agree(rng):
+    # the boost target v0 sets where refinement takes over, so each v0 hands
+    # the active-set phase a different start
     X = gaussian_pool(rng, 30, 3)
     spec = CriterionSpec(p=1.0)
-    cfg = _cfg(0.1, v=1e-8)
     values = []
-    for _ in range(5):
-        w0 = random_feasible(rng, 30, 0.1)
-        res = solve_active_set(w0, X, spec, cfg)
+    for v0 in (0.9, 1e-2, 1e-4, 1e-6):
+        res = solve_hybrid(X, spec, _cfg(0.1, v0=v0, v=1e-8))
         assert res.converged
         values.append(res.phi_value)
     values = np.array(values)
@@ -147,9 +152,9 @@ def test_boost_step_is_stationary_at_fixed_point(rng):
     X = gaussian_pool(rng, 15, 3)
     spec = CriterionSpec(p=1.0)
     w = random_feasible(rng, 15, 0.2)
-    step = boost_step(w, w, X, spec)
-    assert step.alpha == 0.0
-    assert np.allclose(step.w_next.weights, w.weights)
+    w_next, alpha = _boost(w, w, X, spec)
+    assert alpha == 0.0
+    assert np.allclose(w_next.weights, w.weights)
     # one interior weight moved by 1e-12 is still a legal measure (SUM_TOL is
     # 1e-10); the directional derivative is then pure roundoff, not descent
     interior = np.flatnonzero((w.weights > 1e-9) & (w.weights < 0.2 - 1e-9))
@@ -159,20 +164,21 @@ def test_boost_step_is_stationary_at_fixed_point(rng):
             wts = w.weights.copy()
             wts[i] += delta
             moved = Measure(wts, 0.2)
-            step = boost_step(moved, moved, X, spec)
-            assert step.alpha == 0.0, (i, delta)
-            assert np.array_equal(step.w_next.weights, moved.weights)
+            w_next, alpha = _boost(moved, moved, X, spec)
+            assert alpha == 0.0, (i, delta)
+            assert np.array_equal(w_next.weights, moved.weights)
 
 
 def test_boost_step_descends(rng):
     X = gaussian_pool(rng, 20, 3)
     spec = CriterionSpec(p=0.0)
     w = Measure(np.full(20, 0.05), 0.1)
-    gap = optimality_gap(w, X, spec)
-    step = boost_step(w, gap.sg, X, spec)
-    assert 0.0 < step.alpha <= 0.25
-    phi_after = build_info_state(X, step.w_next, spec).phi_value
-    assert phi_after <= gap.phi_value + 1e-12
+    aset = as_atom_set(X)
+    ev = solvers._evaluate(aset, w, spec)
+    w_next, alpha = solvers._boost_once(aset, w, ev, spec)
+    assert 0.0 < alpha <= 0.25
+    phi_after = build_info_state(X, w_next, spec).phi_value
+    assert phi_after <= ev.state.phi_value + 1e-12
 
 
 def test_boost_step_with_singular_curvature_probes_takes_capped_step():
@@ -184,9 +190,9 @@ def test_boost_step_with_singular_curvature_probes_takes_capped_step():
     sg = Measure(np.array([0.5, 0.5]), 1.0)
     with pytest.raises(SingularInformation):
         tau(sg, w, X, spec)
-    step = boost_step(w, sg, X, spec)
-    assert step.alpha == 0.25
-    assert np.allclose(step.w_next.weights, 0.75 * w.weights + 0.25 * sg.weights, rtol=1e-15)
+    w_next, alpha = _boost(w, sg, X, spec)
+    assert alpha == 0.25
+    assert np.allclose(w_next.weights, 0.75 * w.weights + 0.25 * sg.weights, rtol=1e-15)
 
 
 def test_restricted_never_increases(rng):
@@ -194,10 +200,12 @@ def test_restricted_never_increases(rng):
     for _ in range(5):
         X = gaussian_pool(rng, 18, 3)
         w = random_feasible(rng, 18, 0.15)
-        gap = optimality_gap(w, X, spec)
-        w_new = restricted_minimize(w, gap.sg, X, spec)
+        aset = as_atom_set(X)
+        ev = solvers._evaluate(aset, w, spec)
+        w_new, phi_ret, _, _ = solvers._restricted(aset, w, ev.sg, spec, None, ev.state.phi_value)
         phi_new = build_info_state(X, w_new, spec).phi_value
-        assert phi_new <= gap.phi_value + 1e-12
+        assert phi_new == pytest.approx(phi_ret, rel=1e-12)
+        assert phi_new <= ev.state.phi_value + 1e-12
 
 
 def test_inner_cap_hits_counted(rng, monkeypatch):
@@ -252,6 +260,36 @@ def test_efficiency_bounds_bracket(rng):
     assert eb.certified_lower_bound <= eb.ratio <= 1.0 + 1e-8
     phi_bad = build_info_state(X, bad, spec).phi_value
     assert phi_bad * eb.certified_lower_bound <= res.phi_value * (1.0 + 1e-12)
+
+
+def test_efficiency_bounds_reject_a_candidate_above_the_cap(rng):
+    X = gaussian_pool(rng, 12, 2)
+    spec = CriterionSpec(p=0.0)
+    res = solve_hybrid(X, spec, _cfg(0.1))
+    sample = round_to_sample(res.w, 4, res.scores)
+    with pytest.raises(InfeasibleEpsilon, match="exceeds the solved cap"):
+        efficiency_bounds(measure_of_sample(sample, 12), res.w, X, spec)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_certificate_never_exceeds_brute_force_efficiency(rng, p):
+    # at a cap below 1/n the n-point sample is outside the relaxation, whose
+    # optimum can then beat every sample: a bound taken from it overshot the
+    # true efficiency on every such instance tried, by up to 0.53
+    n, spec = 4, CriterionSpec(p=p)
+    for _ in range(10):
+        X = gaussian_pool(rng, 12, 2)
+        _, best_phi, _ = best_subset(X, n, spec)
+        for eps in (0.1, 1.0 / n):
+            res = solve_hybrid(X, spec, _cfg(eps, v=1e-9))
+            sample = round_to_sample(res.w, n, res.scores)
+            true_eff = best_phi / phi_of_subset(X, sample.indices, spec)
+            try:
+                eb = efficiency_bounds(measure_of_sample(sample, 12), res.w, X, spec)
+            except InfeasibleEpsilon:
+                assert eps < 1.0 / n
+                continue
+            assert eb.certified_lower_bound <= true_eff * (1.0 + 1e-9)
 
 
 def test_rounding_certificate_on_tiny_instance(rng):

@@ -76,9 +76,9 @@ class SolverConfig:
     """Weight cap and gap targets of a relaxation solve.
 
     epsilon is the per-point weight cap (1/n makes every size-n subset
-    feasible); v0 is the boost-phase gap target, v the final gap target;
-    skip_refine stops after the boost phase.  Step sizes, tolerances and
-    iteration caps are the module constants above.
+    feasible; a cap of 1 or more binds no weight); v0 is the boost-phase gap
+    target, v the final gap target; skip_refine stops after the boost phase.
+    Step sizes, tolerances and iteration caps are the module constants above.
     """
 
     epsilon: float | None = None
@@ -87,8 +87,8 @@ class SolverConfig:
     skip_refine: bool = False
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not 0 < self.v0 < 1 or not 0 < self.v < 1:
             raise ValueError("gap targets v0 and v must lie in (0, 1)")
 
@@ -366,7 +366,9 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     aset = as_atom_set(atoms)
     if cfg.epsilon is None:
         raise ValueError("cfg.epsilon must be set")
-    eps = float(cfg.epsilon)
+    # the weights sum to one, so a cap above one binds none of them, and a
+    # cap near the float limit overflows the capped-simplex projection
+    eps = min(float(cfg.epsilon), 1.0)
     N = len(aset)
     if N * eps < 1.0 - 1e-9:
         raise InfeasibleEpsilon(f"N * epsilon = {N * eps:.6g} < 1")

@@ -98,6 +98,19 @@ def project_capped_simplex_sorted(v, epsilon, mass):
     return np.clip(v - lam, 0.0, epsilon)
 
 
+def quad_forms_loop(X, B):
+    """Reference for AtomSet.quad_forms on vector atoms: x_i^T B x_i row by row."""
+    return np.array([x @ B @ x for x in X])
+
+
+def weighted_sum_loop(X, w):
+    """Reference for AtomSet.weighted_sum on vector atoms: sum of w_i x_i x_i^T."""
+    M = np.zeros((X.shape[1], X.shape[1]))
+    for wi, x in zip(w, X):
+        M += wi * np.outer(x, x)
+    return M
+
+
 def phi_of_subset(atoms, idx, spec):
     w = measure_of_sample(SampleSet(tuple(int(i) for i in idx)), len(atoms))
     try:

@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import batchdesign.atoms as atoms_mod
 from batchdesign import AtomSet, CriterionSpec, SolverConfig, as_atom_set, solve_hybrid
 from batchdesign.errors import DimensionMismatch, NonFiniteAtom, NotPSD
+
+from helpers import quad_forms_loop, weighted_sum_loop
 
 
 def test_matrix_atom_symmetrized_and_psd_checked():
@@ -59,6 +66,51 @@ def test_quad_forms_matches_loop(rng):
     mats = np.einsum("ni,nj->nij", X, X)
     mset = AtomSet.from_matrices(mats)
     assert np.allclose(mset.quad_forms(B), expect)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "row-strided"])
+@pytest.mark.parametrize("k", [1, 2, 5, 50])
+@given(tile=st.integers(2, 9), offset=st.sampled_from(["-1", "0", "+1", "2x+3"]),
+       sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_tiled_kernels_match_loop(k, layout, tile, offset, sparse, seed):
+    # tiles of a few rows, so that pools of tens of rows span several tiles
+    N = {"-1": tile - 1, "0": tile, "+1": tile + 1, "2x+3": 2 * tile + 3}[offset]
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((2 * N, k))[::2] if layout == "row-strided" else rng.standard_normal((N, k))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    aset = AtomSet.from_vectors(X)
+    assert aset.data is X  # the layout reaches the kernels uncopied
+    B = rng.standard_normal((k, k))
+    B = B + B.T
+    # zeros and negative weights; fewer than N/2 nonzeros take the sparse branch
+    w = np.zeros(N)
+    support = rng.permutation(N)[: (N - 1) // 2 if sparse else N - N // 4]
+    w[support] = rng.standard_normal(support.size)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(atoms_mod, "_tile_rows", lambda k: tile)
+        q = aset.quad_forms(B)
+        M = aset.weighted_sum(w)
+    # the loop on absolute values bounds every term, so cancellation is allowed for
+    scale_q = quad_forms_loop(np.abs(X), np.abs(B))
+    scale_M = weighted_sum_loop(np.abs(X), np.abs(w))
+    np.testing.assert_allclose(q, quad_forms_loop(X, B), rtol=1e-12, atol=1e-12 * scale_q.max())
+    np.testing.assert_allclose(M, weighted_sum_loop(X, w), rtol=1e-12, atol=1e-12 * scale_M.max())
+
+
+def test_vector_kernels_allocate_no_pool_sized_temporary(rng):
+    X = rng.standard_normal((50_000, 50))
+    aset = AtomSet.from_vectors(X)
+    B = np.eye(50) + 0.1
+    w = rng.random(50_000)
+    for kernel in (lambda: aset.quad_forms(B), lambda: aset.weighted_sum(w)):
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 8
 
 
 def test_subset_and_iteration(rng):

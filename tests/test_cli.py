@@ -144,6 +144,26 @@ def test_epsilon_below_one_over_n_exits_2_before_solving(tmp_path, monkeypatch, 
     assert main(["select", "--n", "10"] + out) == 0
 
 
+def test_epsilon_of_one_or_more_solves_the_uncapped_problem(tmp_path, capsys):
+    # the weights sum to one, so every cap >= 1 is the uncapped problem; 1e308
+    # overflowed the capped-simplex projection and stopped short of the gap
+    rng = np.random.default_rng(13)
+    pool = tmp_path / "pool.csv"
+    pool.write_text("x1,x2\n" + "".join(f"{a:.12g},{b:.12g}\n"
+                                        for a, b in rng.standard_normal((300, 2))))
+    picks = {}
+    for eps in ("1", "1e308"):
+        out = tmp_path / f"out{eps}"
+        assert main(["select", "--input", str(pool), "--add-intercept", "--n", "40",
+                     "--epsilon", eps, "--output-dir", str(out)]) == 0
+        picks[eps] = _report(out)["results"]["selected_indices"]
+    assert picks["1e308"] == picks["1"]
+    for eps in ("inf", "nan"):
+        assert main(["select", "--input", str(pool), "--add-intercept", "--n", "40",
+                     "--epsilon", eps, "--output-dir", str(tmp_path / "bad")]) == 2
+        assert f"epsilon must be positive and finite, got {eps}" in capsys.readouterr().err
+
+
 def test_input_errors_exit_2(pool_csv, tmp_path):
     assert main(["select", "--input", str(tmp_path / "missing.csv"), "--n", "5"]) == 2
     assert main(["select", "--input", str(pool_csv)]) == 2  # no --n

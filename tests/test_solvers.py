@@ -35,8 +35,9 @@ def _boost(w, sg, X, spec):
 
 
 def test_config_validation_and_modes():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=-0.1)
+    for bad in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(epsilon=bad)
     with pytest.raises(ValueError):
         SolverConfig(v0=0.0)
     with pytest.raises(ValueError):

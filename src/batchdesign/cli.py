@@ -280,6 +280,7 @@ def cmd_select(args) -> int:
             "certified_lower_bound": bounds.certified_lower_bound,
             "iterations": {k: int(v) for k, v in res.iterations.items()},
             "inner_iterations": int(res.inner_iterations),
+            "working_set": int(res.working_set),
         },
         timings=timings,
         converged=bool(res.converged),

@@ -1,6 +1,6 @@
 """Relaxation solvers over the capped simplex.
 
-Three cooperating pieces:
+Four cooperating pieces:
 
 * boost steps: damped line moves toward the steepest-gradient measure, with
   the step size from a quadratic model of the criterion along the segment;
@@ -12,7 +12,11 @@ Three cooperating pieces:
   projected point that runs on k x k information matrices only;
 * one solve loop for both phases: boost until the relative optimality gap
   reaches v0, then alternate steepest-gradient classification with
-  restricted solves until the gap reaches v.
+  restricted solves until the gap reaches v;
+* a screen for wide pools: the loop runs on a working set of the points
+  best scored at the uniform weighting, and each round's iterate is checked
+  on the full pool, whose outsiders join the set when they would enter the
+  steepest-gradient measure.
 
 The relative gap (sum_i sg_i phi_i - Phi_p) / Phi_p is an exact optimality
 certificate: value * (1 - gap) lower-bounds the optimal criterion value, so
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +40,12 @@ from .criteria import (
     info_state_from_m,
     phi_p_scores,
 )
-from .errors import InfeasibleEpsilon, SingularInformation
+from .errors import (
+    DimensionMismatch,
+    InfeasibleEpsilon,
+    PositivityRepairFailed,
+    SingularInformation,
+)
 from .measures import (
     CAP_SLACK,
     Measure,
@@ -59,6 +68,15 @@ BOOST_CURVATURE_REG = 1e-12
 MAX_BOOST_ITERS = 5000
 MAX_OUTER_ITERS = 200
 INNER_MAX_ITERS = 10000
+# a pool of more than SCREEN_FACTOR / eps points is solved on a working set:
+# the pinned points and the SCREEN_FACTOR / eps best scored at the uniform
+# weighting.  The solve falls back to the whole pool from its usual start
+# when the boosted pilot's full-pool gap exceeds SCREEN_MISS * v0, and goes on
+# with the whole pool from the working set's weights after MAX_SCREEN_ROUNDS
+# rounds of growth
+SCREEN_FACTOR = 5.0
+SCREEN_MISS = 2.0
+MAX_SCREEN_ROUNDS = 3
 # a restricted solve stops once its linearized gap is below INNER_TOL * Phi_p
 INNER_TOL = 1e-10
 # inner loop: a trial is accepted against the largest criterion value of the
@@ -156,8 +174,11 @@ class SolveResult:
     gap_ratio: float
     phi_value: float
     scores: np.ndarray
-    # boost-phase steps taken and restricted solves run
+    # boost-phase steps taken, restricted solves run and full-pool checks of
+    # a screened solve ("boost", "refine", "screen")
     iterations: dict[str, int]
+    # points the final iterate was solved on: N unless the pool was screened
+    working_set: int
     inner_iterations: int = 0
     # restricted solves that stopped at INNER_MAX_ITERS
     inner_cap_hits: int = 0
@@ -200,8 +221,11 @@ def _pin_scores(scores: np.ndarray, pinned: np.ndarray | None) -> np.ndarray:
 def _evaluate(aset: AtomSet, w: Measure, spec: CriterionSpec,
               pinned: np.ndarray | None = None) -> _Eval:
     state = build_info_state(aset, w, spec)
-    scores = phi_p_scores(aset, state, spec)
-    sg = sg_measure(_pin_scores(scores, pinned), w.epsilon)
+    return _gap(state, phi_p_scores(aset, state, spec), w.epsilon, pinned)
+
+
+def _gap(state: InfoState, scores: np.ndarray, eps: float, pinned: np.ndarray | None) -> _Eval:
+    sg = sg_measure(_pin_scores(scores, pinned), eps)
     lin = float(sg.weights @ scores)
     gap_ratio = (lin - state.phi_value) / state.phi_value
     return _Eval(state, scores, sg, lin, gap_ratio)
@@ -349,18 +373,167 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     return Measure(full, eps), float(state.phi_value), inner, cap_hit
 
 
+def _check_pinned(pinned, N: int) -> np.ndarray | None:
+    """Pinned points as sorted distinct indices; None when there are none.
+
+    A boolean mask must have one entry per point.  Indices must be integers
+    in [0, N); a repeated index pins its point once.
+    """
+    if pinned is None:
+        return None
+    pinned = np.atleast_1d(np.asarray(pinned))
+    if pinned.dtype == bool:
+        if pinned.shape != (N,):
+            raise DimensionMismatch(f"pinned mask has shape {pinned.shape} for {N} points")
+        pinned = np.flatnonzero(pinned)
+    elif pinned.size == 0:
+        return None
+    elif pinned.ndim != 1 or pinned.dtype.kind not in "iu":
+        raise DimensionMismatch(
+            f"pinned must be a mask or a vector of integer indices, got {pinned.dtype} "
+            f"with shape {pinned.shape}")
+    elif pinned.min() < 0 or pinned.max() >= N:
+        bad = pinned[(pinned < 0) | (pinned >= N)][0]
+        raise DimensionMismatch(f"pinned index {bad} outside [0, {N})")
+    pinned = np.unique(pinned)
+    return pinned if pinned.size else None
+
+
+def _count(x: float) -> int:
+    """ceil(x) for a point count such as 5 / eps, forgiving the rounding of x."""
+    return int(np.ceil(x * (1.0 - 1e-12)))
+
+
+@dataclass
+class _Run:
+    """Trace and counters shared by the rounds of one solve."""
+
+    trace: SolveTrace
+    t0: float
+    iterations: dict[str, int]
+    inner: int = 0
+    cap_hits: int = 0
+
+
+def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.ndarray | None,
+             run: _Run, w: Measure, boosting: bool,
+             ev: _Eval | None = None) -> tuple[Measure, _Eval, bool]:
+    """The solve loop on one atom set, from w; returns (w, its _Eval, converged).
+
+    Each pass evaluates, records and tests the iterate, then makes one move.
+    The move is a boost step while boosting, until the gap reaches v0, a step
+    is zero or MAX_BOOST_ITERS steps were taken; the loop then returns if
+    refinement is off.  After that it is a restricted solve
+    on the projected steepest-gradient split until the gap reaches v, except
+    that a restricted solve which stalled is followed by one boost step.  A
+    given ev is w's evaluation, already recorded.
+    """
+    phase, alpha, stalled = "boost", np.nan, False
+    while True:
+        if ev is None:
+            ev = _evaluate(aset, w, spec, pinned)
+            t1, t2 = active_set_split(w, ev.sg)
+            run.trace.add(phase=phase, phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
+                          alpha=alpha, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
+                          wall_time=time.perf_counter() - run.t0)
+        if boosting:
+            if ev.gap_ratio > cfg.v0 and run.iterations["boost"] < MAX_BOOST_ITERS:
+                w_next, alpha = _boost_once(aset, w, ev, spec)
+                run.iterations["boost"] += 1
+                if alpha > 0.0:
+                    w, ev = w_next, None
+                    continue
+            boosting = False
+            if not cfg.refine_enabled:
+                return w, ev, bool(ev.gap_ratio <= cfg.v0)
+        converged = bool(ev.gap_ratio <= cfg.v)
+        if converged or run.iterations["refine"] == MAX_OUTER_ITERS:
+            return w, ev, converged
+        if stalled:
+            stalled = False
+            w_next, alpha = _boost_once(aset, w, ev, spec)
+            if alpha > 0.0:
+                w, ev, phase = w_next, None, "boost"
+                continue
+        sg_pd = psg_measure(_pin_scores(ev.scores, pinned), w.epsilon, aset, fallback=w)
+        phi_old = ev.state.phi_value
+        w, phi_new, inner, cap_hit = _restricted(aset, w, sg_pd, spec, pinned, phi_ref=phi_old)
+        run.iterations["refine"] += 1
+        run.inner += inner
+        run.cap_hits += cap_hit
+        stalled = phi_old - phi_new < STALL_RTOL * abs(phi_old)
+        phase, alpha, ev = "refine", 0.0, None
+
+
+def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
+            pinned: np.ndarray | None, scores_u: np.ndarray,
+            run: _Run) -> tuple[Measure, _Eval, int] | None:
+    """Solve on a working set, checking each round's iterate on the full pool.
+
+    A boost-only pilot on the working set is checked first; None (fall back
+    to the whole pool) if its full-pool gap exceeds SCREEN_MISS * v0.  Then
+    each round refines on the working set, warm-started, and checks the
+    zero-padded iterate on the full pool.  While the full-pool gap is above
+    v, the outsiders that score above the working set's ceil(1/eps)-th score,
+    the points that would enter the steepest-gradient measure, join the set.
+    Returns the padded iterate, its full-pool _Eval and the working-set size,
+    which is N when the whole pool should go on from that iterate.
+    """
+    N, m = len(aset), _count(SCREEN_FACTOR / eps)
+    ws = np.argpartition(-scores_u, m - 1)[:m]
+    ws = np.union1d(ws, pinned) if pinned is not None else np.sort(ws)
+
+    def restrict(ws):
+        return aset.subset(ws), None if pinned is None else np.searchsorted(ws, pinned)
+
+    def check(w_sub):
+        wts = np.zeros(N)
+        wts[ws] = w_sub.weights
+        w = Measure(wts, eps)
+        run.iterations["screen"] += 1
+        return w, _evaluate(aset, w, spec, pinned)
+
+    sub, pin_sub = restrict(ws)
+    start = psg_measure(_pin_scores(scores_u[ws], pin_sub), eps, sub,
+                        fallback=Measure(np.full(ws.size, 1.0 / ws.size), eps))
+    w_sub, ev_sub, _ = _descend(sub, spec, replace(cfg, skip_refine=True), pin_sub, run, start,
+                                boosting=True)
+    w, ev = check(w_sub)
+    if ev.gap_ratio > SCREEN_MISS * cfg.v0:
+        return None
+    rounds = 0
+    while ev.gap_ratio > cfg.target_gap:
+        if (not cfg.refine_enabled or rounds > MAX_SCREEN_ROUNDS
+                or run.iterations["refine"] == MAX_OUTER_ITERS):
+            return w, ev, N
+        if rounds:
+            # the ceil(1/eps)-th best score inside, pinned points first
+            rank = ws.size - min(_count(1.0 / eps), ws.size)
+            bar = np.partition(_pin_scores(ev.scores, pinned)[ws], rank)[rank]
+            joining = np.setdiff1d(np.flatnonzero(ev.scores > bar), ws, assume_unique=True)
+            if not joining.size:
+                return w, ev, N
+            ws = np.union1d(ws, joining)
+            sub, pin_sub = restrict(ws)
+            w_sub = Measure(w.weights[ws], eps)
+            ev_sub = _gap(ev.state, ev.scores[ws], eps, pin_sub)
+        w_sub, ev_sub, _ = _descend(sub, spec, cfg, pin_sub, run, w_sub, boosting=False, ev=ev_sub)
+        w, ev = check(w_sub)
+        rounds += 1
+    return w, ev, ws.size
+
+
 def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
                  pinned: np.ndarray | None = None) -> SolveResult:
     """Boost-then-refine solve of the capped-simplex relaxation.
 
     Starts from the projected steepest-gradient measure of the uniform
-    weighting.  Each pass evaluates, records and tests the iterate, then
-    makes one move.  The move is a boost step until the gap reaches v0, a
-    step is zero or MAX_BOOST_ITERS steps were taken.  After that it is a
-    restricted solve on the projected steepest-gradient split until the gap
-    reaches v (skipped when v >= v0 or skip_refine is set), except that a
-    restricted solve which stalled is followed by one boost step.
-    ``pinned`` indices are held at the cap throughout, which is how
+    weighting and runs the solve loop (see _descend): boost steps until the
+    gap reaches v0, then restricted solves until it reaches v (skipped when
+    v >= v0 or skip_refine is set).  A pool of more than SCREEN_FACTOR / eps
+    points is solved on a working set (see _screen); the returned weights,
+    scores and gap are always those of the full pool.  ``pinned`` points (a
+    mask or integer indices) are held at the cap throughout, which is how
     already-purchased points enter.
     """
     aset = as_atom_set(atoms)
@@ -372,59 +545,37 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     N = len(aset)
     if N * eps < 1.0 - 1e-9:
         raise InfeasibleEpsilon(f"N * epsilon = {N * eps:.6g} < 1")
-    if pinned is not None:
-        pinned = np.asarray(pinned)
-        if pinned.dtype == bool:
-            pinned = np.flatnonzero(pinned)
-        if pinned.size * eps > 1.0 + 1e-9:
-            raise InfeasibleEpsilon("pinned points alone exceed total mass one")
+    pinned = _check_pinned(pinned, N)
+    if pinned is not None and pinned.size * eps > 1.0 + 1e-9:
+        raise InfeasibleEpsilon("pinned points alone exceed total mass one")
 
     uniform = Measure(np.full(N, 1.0 / N), eps)
     state_u = build_info_state(aset, uniform, spec)
     scores_u = phi_p_scores(aset, state_u, spec)
-    w = psg_measure(_pin_scores(scores_u, pinned), eps, aset, fallback=uniform)
-    t0 = time.perf_counter()
-    trace = SolveTrace()
-    iterations = {"boost": 0, "refine": 0}
-    inner_total = cap_hits = 0
-    phase, alpha, boosting, stalled = "boost", np.nan, True, False
-    while True:
-        ev = _evaluate(aset, w, spec, pinned)
-        t1, t2 = active_set_split(w, ev.sg)
-        trace.add(phase=phase, phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
-                  alpha=alpha, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
-                  wall_time=time.perf_counter() - t0)
-        if boosting:
-            if ev.gap_ratio > cfg.v0 and iterations["boost"] < MAX_BOOST_ITERS:
-                w_next, alpha = _boost_once(aset, w, ev, spec)
-                iterations["boost"] += 1
-                if alpha > 0.0:
-                    w = w_next
-                    continue
-            boosting = False
-            if not cfg.refine_enabled:
-                converged = bool(ev.gap_ratio <= cfg.v0)
-                break
-        converged = bool(ev.gap_ratio <= cfg.v)
-        if converged or iterations["refine"] == MAX_OUTER_ITERS:
-            break
-        if stalled:
-            stalled = False
-            w_next, alpha = _boost_once(aset, w, ev, spec)
-            if alpha > 0.0:
-                w, phase = w_next, "boost"
-                continue
-        sg_pd = psg_measure(_pin_scores(ev.scores, pinned), w.epsilon, aset, fallback=w)
-        w, phi_new, inner, cap_hit = _restricted(aset, w, sg_pd, spec, pinned,
-                                                 phi_ref=ev.state.phi_value)
-        iterations["refine"] += 1
-        inner_total += inner
-        cap_hits += cap_hit
-        stalled = ev.state.phi_value - phi_new < STALL_RTOL * abs(ev.state.phi_value)
-        phase, alpha = "refine", 0.0
-    return SolveResult(w=w, trace=trace, converged=converged, gap_ratio=ev.gap_ratio,
-                       phi_value=ev.state.phi_value, scores=ev.scores, iterations=iterations,
-                       inner_iterations=inner_total, inner_cap_hits=cap_hits)
+    run = _Run(SolveTrace(), time.perf_counter(), {"boost": 0, "refine": 0, "screen": 0})
+    screened = None
+    if _count(SCREEN_FACTOR / eps) < N:
+        try:
+            screened = _screen(aset, spec, cfg, eps, pinned, scores_u, run)
+        except (SingularInformation, PositivityRepairFailed):
+            pass
+    if screened is None:
+        # the whole pool from the usual start; a failed screen keeps only its count
+        run = _Run(SolveTrace(), run.t0, {"boost": 0, "refine": 0,
+                                          "screen": run.iterations["screen"]})
+        w = psg_measure(_pin_scores(scores_u, pinned), eps, aset, fallback=uniform)
+        w, ev, converged = _descend(aset, spec, cfg, pinned, run, w, boosting=True)
+        working_set = N
+    else:
+        w, ev, working_set = screened
+        converged = bool(ev.gap_ratio <= cfg.target_gap)
+        if working_set == N:
+            w, ev, converged = _descend(aset, spec, cfg, pinned, run, w,
+                                        boosting=not cfg.refine_enabled, ev=ev)
+    return SolveResult(w=w, trace=run.trace, converged=converged, gap_ratio=ev.gap_ratio,
+                       phi_value=ev.state.phi_value, scores=ev.scores,
+                       iterations=run.iterations, working_set=working_set,
+                       inner_iterations=run.inner, inner_cap_hits=run.cap_hits)
 
 
 def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,

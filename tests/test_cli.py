@@ -373,7 +373,7 @@ _KEY_SET_RUNS = {
         "params": ["epsilon", "feature_names", "input", "model", "n", "p", "v", "v0"],
         "results": ["N", "certified_lower_bound", "efficiency_ratio", "epsilon", "gap_ratio",
                     "inner_iterations", "iterations", "k", "n", "p", "phi_relaxed", "phi_sample",
-                    "selected_indices", "target_gap"],
+                    "selected_indices", "target_gap", "working_set"],
         "timings": ["boost_seconds", "refine_seconds", "solve_seconds", "total_seconds"],
         "artifacts": ["weights"]}),
     "efficiency": (["efficiency", "--input", "{pool}", "--candidate", "{cand}"], {

@@ -3,21 +3,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchdesign import (
     CriterionSpec,
+    CumulativeLinkSpec,
     Measure,
     SolverConfig,
     as_atom_set,
     build_info_state,
+    cumlink_atoms,
     efficiency_bounds,
     measure_of_sample,
+    phi_p_scores,
     round_to_sample,
     sg_measure,
     solve_hybrid,
 )
 from batchdesign import solvers
-from batchdesign.errors import InfeasibleEpsilon, SingularInformation
+from batchdesign.errors import DimensionMismatch, InfeasibleEpsilon, SingularInformation
 
 from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible, tau
 
@@ -228,11 +232,13 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
     # the boost-to-refine hand-off iterate is evaluated and recorded once:
     # one evaluation for the start and one after every move
     calls = Counter()
+    N = 300
 
     def count(fn, moved):
-        def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
+        def wrapped(aset, *args, **kwargs):
+            out = fn(aset, *args, **kwargs)
             calls[fn.__name__] += 1
+            calls["full-pool " + fn.__name__] += len(aset) == N
             calls["moves"] += moved(out)
             return out
         monkeypatch.setattr(solvers, fn.__name__, wrapped)
@@ -240,10 +246,16 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
     count(solvers._evaluate, lambda out: 0)
     count(solvers._restricted, lambda out: 1)
     count(solvers._boost_once, lambda out: out[1] > 0.0)
-    X = gaussian_pool(rng, 300, 4)
+    X = gaussian_pool(rng, N, 4)
     res = solve_hybrid(X, CriterionSpec(p=p), _cfg(1.0 / 30, v=1e-9))
     assert res.converged and res.iterations["refine"] >= 1
-    assert calls["_evaluate"] == calls["moves"] + 1 == len(res.trace)
+    # N > 5 / eps, so the pool is screened: every move is made on the working
+    # set, and the full pool is evaluated only by the screen's checks
+    assert res.working_set < N
+    assert calls["full-pool _restricted"] == calls["full-pool _boost_once"] == 0
+    checks = calls["full-pool _evaluate"]
+    assert calls["_evaluate"] - checks == calls["moves"] + 1 == len(res.trace)
+    assert checks == res.iterations["screen"] >= 2
     assert res.iterations["refine"] == calls["_restricted"]
 
 
@@ -306,3 +318,129 @@ def test_rounding_certificate_on_tiny_instance(rng):
     _, best_phi, _ = best_subset(X, n, spec)
     true_eff = best_phi / phi_s
     assert eb.certified_lower_bound <= true_eff * (1.0 + 1e-9)
+
+
+def test_pinned_input_validated_up_front(rng):
+    X = gaussian_pool(rng, 300, 4)
+    spec, cfg = CriterionSpec(p=1.0), _cfg(1.0 / 30)
+    for bad in ([5000], [-1], np.array([1.5]), np.zeros(10, dtype=bool), [[0, 1]]):
+        with pytest.raises(DimensionMismatch):
+            solve_hybrid(X, spec, cfg, pinned=bad)
+    # a repeated index pins its point once: 31 copies fit under a cap of 1/30
+    once = solve_hybrid(X, spec, cfg, pinned=[0])
+    repeated = solve_hybrid(X, spec, cfg, pinned=[0] * 31)
+    assert np.array_equal(once.w.weights, repeated.w.weights)
+    assert once.w.weights[0] == pytest.approx(1.0 / 30, abs=1e-12)
+    mask = np.zeros(300, dtype=bool)
+    mask[[3, 7]] = True
+    by_mask = solve_hybrid(X, spec, cfg, pinned=mask)
+    assert np.array_equal(by_mask.w.weights, solve_hybrid(X, spec, cfg, pinned=[7, 3]).w.weights)
+
+
+def _assert_full_pool_result(atoms, res, spec, v, pinned=None):
+    # scores and gap of the returned weights, recomputed on the whole pool
+    aset = as_atom_set(atoms)
+    state = build_info_state(aset, res.w, spec)
+    scores = phi_p_scores(aset, state, spec)
+    ranked = scores.copy()
+    if pinned is not None:
+        ranked[pinned] = scores.max() + 1.0
+        assert np.allclose(res.w.weights[pinned], res.w.epsilon, atol=1e-10)
+    lin = float(sg_measure(ranked, res.w.epsilon).weights @ scores)
+    gap = (lin - state.phi_value) / state.phi_value
+    np.testing.assert_allclose(res.scores, scores, rtol=1e-9)
+    assert res.phi_value == pytest.approx(state.phi_value, rel=1e-12)
+    assert res.gap_ratio == pytest.approx(gap, rel=1e-6, abs=1e-12)
+    assert res.converged and gap <= v
+
+
+def _whole_pool(*args, **kwargs):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solvers, "SCREEN_FACTOR", 1e12)
+        res = solve_hybrid(*args, **kwargs)
+    assert res.iterations["screen"] == 0 and res.working_set == len(as_atom_set(args[0]))
+    return res
+
+
+def _assert_same_solve(a, b):
+    assert np.array_equal(a.w.weights, b.w.weights)
+    assert np.array_equal(a.scores, b.scores)
+    fields = ("phase", "phi_value", "gap_ratio", "alpha", "t1_size", "t2_size")
+    assert [[getattr(r, f) for f in fields] for r in a.trace.records] == \
+        [[getattr(r, f) for f in fields] for r in b.trace.records]
+    assert (a.iterations["boost"], a.iterations["refine"]) == \
+        (b.iterations["boost"], b.iterations["refine"])
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12), width=st.integers(6, 10),
+       k=st.integers(2, 4), p=st.sampled_from([0.0, 1.0, 2.0]), pins=st.integers(0, 3))
+def test_screened_solve_certifies_on_the_full_pool(seed, n, width, k, p, pins):
+    # N >= 6 / eps, so the pool is screened; the result is a full-pool
+    # solution at gap v, and its Phi_p agrees with the whole-pool solve's
+    rng = np.random.default_rng(seed)
+    N, v = width * n, 1e-6
+    X = gaussian_pool(rng, N, k)
+    pinned = rng.choice(N, size=pins, replace=False) if pins else None
+    spec, cfg = CriterionSpec(p=p), _cfg(1.0 / n, v=v)
+    res = solve_hybrid(X, spec, cfg, pinned=pinned)
+    assert res.iterations["screen"] >= 1
+    assert res.trace.is_monotone()
+    _assert_full_pool_result(X, res, spec, v, pinned)
+    whole = _whole_pool(X, spec, cfg, pinned=pinned)
+    assert abs(res.phi_value / whole.phi_value - 1.0) <= v / (1.0 - v) + 1e-12
+
+
+def test_screened_solve_on_matrix_atoms(rng):
+    # a cumulative-link pool: k x k atoms, focused on the regression block
+    Z = rng.standard_normal((400, 2))
+    model = CumulativeLinkSpec(np.array([0.8, -0.5]), np.array([-0.5, 0.7]))
+    atoms = cumlink_atoms(Z, model)
+    v = 1e-6
+    for spec in (CriterionSpec(p=2.0), CriterionSpec(p=1.0, G=model.beta_selector)):
+        cfg = _cfg(1.0 / 20, v=v)
+        res = solve_hybrid(atoms, spec, cfg)
+        assert res.working_set < 400 and res.trace.is_monotone()
+        _assert_full_pool_result(atoms, res, spec, v)
+        whole = _whole_pool(atoms, spec, cfg)
+        assert abs(res.phi_value / whole.phi_value - 1.0) <= v / (1.0 - v) + 1e-12
+
+
+def test_heavy_tailed_pool_falls_back_to_the_whole_pool():
+    # uniform-weight leverage misjudges a Cauchy pool: the boosted pilot's
+    # full-pool gap is far above v0, and today's whole-pool solve runs instead
+    rng = np.random.default_rng(3)
+    X = np.hstack([np.ones((200, 1)), rng.standard_cauchy((200, 2))])
+    spec, cfg = CriterionSpec(p=1.0), _cfg(1.0 / 10)
+    res = solve_hybrid(X, spec, cfg)
+    assert res.working_set == 200 and res.iterations["screen"] == 1
+    _assert_same_solve(res, _whole_pool(X, spec, cfg))
+    _assert_full_pool_result(X, res, spec, cfg.v)
+
+
+def test_working_set_grows_until_the_full_pool_certifies(rng, monkeypatch):
+    # a working set of 1.5 / eps points misses points of the optimum, so the
+    # full-pool checks must bring outsiders in before the gap reaches v
+    monkeypatch.setattr(solvers, "SCREEN_FACTOR", 1.5)
+    X = gaussian_pool(np.random.default_rng(0), 300, 4)
+    spec, cfg = CriterionSpec(p=1.0), _cfg(1.0 / 30)
+    res = solve_hybrid(X, spec, cfg)
+    assert res.iterations["screen"] >= 3
+    assert 45 < res.working_set < 300
+    assert res.trace.is_monotone()
+    _assert_full_pool_result(X, res, spec, cfg.v)
+
+
+@pytest.mark.parametrize("N, n", [(150, 30), (3000, 600), (151, 30)])
+def test_whole_pool_up_to_five_over_epsilon(N, n):
+    # 5 / eps lands on N exactly in floating point for both caps; such a pool
+    # runs the whole-pool loop with no full-pool check, one point more is screened
+    X = gaussian_pool(np.random.default_rng(N), N, 3)
+    spec, cfg = CriterionSpec(p=0.0), _cfg(1.0 / n)
+    res = solve_hybrid(X, spec, cfg)
+    _assert_full_pool_result(X, res, spec, cfg.v)
+    if N <= 5 * n:
+        assert res.iterations["screen"] == 0 and res.working_set == N
+        _assert_same_solve(res, _whole_pool(X, spec, cfg))
+    else:
+        assert res.iterations["screen"] >= 1

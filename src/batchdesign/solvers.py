@@ -14,9 +14,9 @@ Four cooperating pieces:
   reaches v0, then alternate steepest-gradient classification with
   restricted solves until the gap reaches v;
 * a screen for wide pools: the loop runs on a working set of the points
-  best scored at the uniform weighting, and each round's iterate is checked
-  on the full pool, whose outsiders join the set when they would enter the
-  steepest-gradient measure.
+  best scored at the uniform weighting, and its iterates are checked on the
+  full pool, which goes on from the working set's weights when the check
+  falls short.
 
 The relative gap (sum_i sg_i phi_i - Phi_p) / Phi_p is an exact optimality
 certificate: value * (1 - gap) lower-bounds the optimal criterion value, so
@@ -72,11 +72,10 @@ INNER_MAX_ITERS = 10000
 # the pinned points and the SCREEN_FACTOR / eps best scored at the uniform
 # weighting.  The solve falls back to the whole pool from its usual start
 # when the boosted pilot's full-pool gap exceeds SCREEN_MISS * v0, and goes on
-# with the whole pool from the working set's weights after MAX_SCREEN_ROUNDS
-# rounds of growth
+# with the whole pool from the working set's weights when the refined
+# iterate's full-pool gap is above the target
 SCREEN_FACTOR = 5.0
 SCREEN_MISS = 2.0
-MAX_SCREEN_ROUNDS = 3
 # a restricted solve stops once its linearized gap is below INNER_TOL * Phi_p
 INNER_TOL = 1e-10
 # inner loop: a trial is accepted against the largest criterion value of the
@@ -221,11 +220,8 @@ def _pin_scores(scores: np.ndarray, pinned: np.ndarray | None) -> np.ndarray:
 def _evaluate(aset: AtomSet, w: Measure, spec: CriterionSpec,
               pinned: np.ndarray | None = None) -> _Eval:
     state = build_info_state(aset, w, spec)
-    return _gap(state, phi_p_scores(aset, state, spec), w.epsilon, pinned)
-
-
-def _gap(state: InfoState, scores: np.ndarray, eps: float, pinned: np.ndarray | None) -> _Eval:
-    sg = sg_measure(_pin_scores(scores, pinned), eps)
+    scores = phi_p_scores(aset, state, spec)
+    sg = sg_measure(_pin_scores(scores, pinned), w.epsilon)
     lin = float(sg.weights @ scores)
     gap_ratio = (lin - state.phi_value) / state.phi_value
     return _Eval(state, scores, sg, lin, gap_ratio)
@@ -468,23 +464,20 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
 def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
             pinned: np.ndarray | None, scores_u: np.ndarray,
             run: _Run) -> tuple[Measure, _Eval, int] | None:
-    """Solve on a working set, checking each round's iterate on the full pool.
+    """Solve on a working set, checking its iterates on the full pool.
 
     A boost-only pilot on the working set is checked first; None (fall back
     to the whole pool) if its full-pool gap exceeds SCREEN_MISS * v0.  Then
-    each round refines on the working set, warm-started, and checks the
-    zero-padded iterate on the full pool.  While the full-pool gap is above
-    v, the outsiders that score above the working set's ceil(1/eps)-th score,
-    the points that would enter the steepest-gradient measure, join the set.
-    Returns the padded iterate, its full-pool _Eval and the working-set size,
-    which is N when the whole pool should go on from that iterate.
+    one refine round on the working set, warm-started, is checked the same
+    way.  Returns the zero-padded iterate, its full-pool _Eval and the
+    working-set size, or N when the full-pool gap is above the target and
+    the whole pool should go on from that iterate.
     """
     N, m = len(aset), _count(SCREEN_FACTOR / eps)
     ws = np.argpartition(-scores_u, m - 1)[:m]
     ws = np.union1d(ws, pinned) if pinned is not None else np.sort(ws)
-
-    def restrict(ws):
-        return aset.subset(ws), None if pinned is None else np.searchsorted(ws, pinned)
+    sub = aset.subset(ws)
+    pin_sub = None if pinned is None else np.searchsorted(ws, pinned)
 
     def check(w_sub):
         wts = np.zeros(N)
@@ -493,7 +486,6 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
         run.iterations["screen"] += 1
         return w, _evaluate(aset, w, spec, pinned)
 
-    sub, pin_sub = restrict(ws)
     start = psg_measure(_pin_scores(scores_u[ws], pin_sub), eps, sub,
                         fallback=Measure(np.full(ws.size, 1.0 / ws.size), eps))
     w_sub, ev_sub, _ = _descend(sub, spec, replace(cfg, skip_refine=True), pin_sub, run, start,
@@ -501,26 +493,10 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
     w, ev = check(w_sub)
     if ev.gap_ratio > SCREEN_MISS * cfg.v0:
         return None
-    rounds = 0
-    while ev.gap_ratio > cfg.target_gap:
-        if (not cfg.refine_enabled or rounds > MAX_SCREEN_ROUNDS
-                or run.iterations["refine"] == MAX_OUTER_ITERS):
-            return w, ev, N
-        if rounds:
-            # the ceil(1/eps)-th best score inside, pinned points first
-            rank = ws.size - min(_count(1.0 / eps), ws.size)
-            bar = np.partition(_pin_scores(ev.scores, pinned)[ws], rank)[rank]
-            joining = np.setdiff1d(np.flatnonzero(ev.scores > bar), ws, assume_unique=True)
-            if not joining.size:
-                return w, ev, N
-            ws = np.union1d(ws, joining)
-            sub, pin_sub = restrict(ws)
-            w_sub = Measure(w.weights[ws], eps)
-            ev_sub = _gap(ev.state, ev.scores[ws], eps, pin_sub)
-        w_sub, ev_sub, _ = _descend(sub, spec, cfg, pin_sub, run, w_sub, boosting=False, ev=ev_sub)
+    if ev.gap_ratio > cfg.target_gap and cfg.refine_enabled:
+        w_sub, _, _ = _descend(sub, spec, cfg, pin_sub, run, w_sub, boosting=False, ev=ev_sub)
         w, ev = check(w_sub)
-        rounds += 1
-    return w, ev, ws.size
+    return w, ev, ws.size if ev.gap_ratio <= cfg.target_gap else N
 
 
 def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,

@@ -232,7 +232,7 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
     # the boost-to-refine hand-off iterate is evaluated and recorded once:
     # one evaluation for the start and one after every move
     calls = Counter()
-    N = 300
+    N = 0
 
     def count(fn, moved):
         def wrapped(aset, *args, **kwargs):
@@ -246,17 +246,24 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
     count(solvers._evaluate, lambda out: 0)
     count(solvers._restricted, lambda out: 1)
     count(solvers._boost_once, lambda out: out[1] > 0.0)
-    X = gaussian_pool(rng, N, 4)
-    res = solve_hybrid(X, CriterionSpec(p=p), _cfg(1.0 / 30, v=1e-9))
-    assert res.converged and res.iterations["refine"] >= 1
-    # N > 5 / eps, so the pool is screened: every move is made on the working
-    # set, and the full pool is evaluated only by the screen's checks
-    assert res.working_set < N
-    assert calls["full-pool _restricted"] == calls["full-pool _boost_once"] == 0
-    checks = calls["full-pool _evaluate"]
-    assert calls["_evaluate"] - checks == calls["moves"] + 1 == len(res.trace)
-    assert checks == res.iterations["screen"] >= 2
-    assert res.iterations["refine"] == calls["_restricted"]
+    # N = 5 / eps runs the whole-pool loop; N = 10 / eps is screened
+    for N in (150, 300):
+        calls.clear()
+        X = gaussian_pool(rng, N, 4)
+        res = solve_hybrid(X, CriterionSpec(p=p), _cfg(1.0 / 30, v=1e-9))
+        assert res.converged and res.iterations["refine"] >= 1
+        assert res.iterations["refine"] == calls["_restricted"]
+        if N == 150:
+            assert res.working_set == N and res.iterations["screen"] == 0
+            assert calls["_evaluate"] == calls["moves"] + 1 == len(res.trace)
+            continue
+        # every move is made on the working set, and the full pool is
+        # evaluated only by the screen's checks
+        assert res.working_set < N
+        assert calls["full-pool _restricted"] == calls["full-pool _boost_once"] == 0
+        checks = calls["full-pool _evaluate"]
+        assert calls["_evaluate"] - checks == calls["moves"] + 1 == len(res.trace)
+        assert checks == res.iterations["screen"] >= 2
 
 
 def test_efficiency_bounds_bracket(rng):
@@ -418,17 +425,19 @@ def test_heavy_tailed_pool_falls_back_to_the_whole_pool():
     _assert_full_pool_result(X, res, spec, cfg.v)
 
 
-def test_working_set_grows_until_the_full_pool_certifies(rng, monkeypatch):
-    # a working set of 1.5 / eps points misses points of the optimum, so the
-    # full-pool checks must bring outsiders in before the gap reaches v
-    monkeypatch.setattr(solvers, "SCREEN_FACTOR", 1.5)
+def test_undersized_working_set_hands_over_to_the_whole_pool(monkeypatch):
+    # a working set of 1.5 / eps points passes the pilot but misses points of
+    # the optimum, so the refined iterate's full-pool check falls short and
+    # the whole pool goes on from the padded weights
     X = gaussian_pool(np.random.default_rng(0), 300, 4)
     spec, cfg = CriterionSpec(p=1.0), _cfg(1.0 / 30)
+    whole = _whole_pool(X, spec, cfg)
+    monkeypatch.setattr(solvers, "SCREEN_FACTOR", 1.5)
     res = solve_hybrid(X, spec, cfg)
-    assert res.iterations["screen"] >= 3
-    assert 45 < res.working_set < 300
+    assert res.iterations["screen"] == 2 and res.working_set == 300
     assert res.trace.is_monotone()
     _assert_full_pool_result(X, res, spec, cfg.v)
+    assert abs(res.phi_value / whole.phi_value - 1.0) <= cfg.v / (1.0 - cfg.v) + 1e-12
 
 
 @pytest.mark.parametrize("N, n", [(150, 30), (3000, 600), (151, 30)])

@@ -252,6 +252,13 @@ def _solve_for_sample(args, atoms: AtomSet, G, n: int):
     return spec, cfg, res, time.perf_counter() - t_solve
 
 
+def _solve_counts(res) -> dict:
+    """The report results that show how a solve went: iterations and working-set size."""
+    return {"iterations": {k: int(v) for k, v in res.iterations.items()},
+            "inner_iterations": int(res.inner_iterations),
+            "working_set": int(res.working_set)}
+
+
 def cmd_select(args) -> int:
     t0 = time.perf_counter()
     Z, names, _ = _load_features(args)
@@ -278,9 +285,7 @@ def cmd_select(args) -> int:
             "gap_ratio": float(res.gap_ratio),
             "efficiency_ratio": bounds.ratio,
             "certified_lower_bound": bounds.certified_lower_bound,
-            "iterations": {k: int(v) for k, v in res.iterations.items()},
-            "inner_iterations": int(res.inner_iterations),
-            "working_set": int(res.working_set),
+            **_solve_counts(res),
         },
         timings=timings,
         converged=bool(res.converged),
@@ -466,6 +471,7 @@ def cmd_two_stage(args) -> int:
     if ts.solve is not None:
         results["phi_relaxed"] = float(ts.solve.phi_value)
         results["gap_ratio"] = float(ts.solve.gap_ratio)
+        results.update(_solve_counts(ts.solve))
         converged = bool(ts.solve.converged)
     _write_report(
         args, t0,

@@ -133,12 +133,18 @@ def write_weights_csv(path, weights: np.ndarray, scores: np.ndarray,
                       selected) -> None:
     """One row per candidate: index, relaxed weight, leverage score, and
     whether the point made the rounded sample."""
-    sel = np.zeros(len(weights), dtype=int)
+    N = len(weights)
+    sel = np.zeros(N, dtype=int)
     sel[np.asarray(list(selected), dtype=int)] = 1
+    # the row values interleaved, for one format call over all rows
+    cells = [0] * (4 * N)
+    cells[0::4] = range(N)
+    cells[1::4] = weights.tolist()
+    cells[2::4] = scores.tolist()
+    cells[3::4] = sel.tolist()
     with open(path, "w", newline="") as fh:
         fh.write("index,weight,score,selected\r\n")
-        rows = zip(range(len(weights)), weights.tolist(), scores.tolist(), sel.tolist())
-        fh.writelines("%d,%.17g,%.17g,%d\r\n" % row for row in rows)
+        fh.write("%d,%.17g,%.17g,%d\r\n" * N % tuple(cells))
 
 
 def write_table_csv(path, header, rows) -> None:

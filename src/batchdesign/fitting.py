@@ -57,7 +57,7 @@ def fit_logistic(Z, y, tol: float = 1e-8, max_iter: int = 100) -> LogisticFit:
         raise FitDiverged("response length does not match the design matrix")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise FitDiverged("logistic responses must be coded 0/1")
-    if len(np.unique(y)) < 2:
+    if y.size == 0 or y.min() == y.max():
         raise FitDiverged("response is constant; no logistic fit exists")
 
     beta = np.zeros(Z.shape[1])

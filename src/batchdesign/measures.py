@@ -213,8 +213,11 @@ def round_to_sample(w: Measure, n: int, scores) -> SampleSet:
     if not 0 < n <= weights.shape[0]:
         raise ValueError(f"cannot take {n} points from a pool of {weights.shape[0]}")
     scores = np.asarray(scores, dtype=float)
-    order = np.lexsort((np.arange(weights.shape[0]), -scores, -weights))
-    return SampleSet(tuple(order[:n]))
+    neg = -weights
+    # only points at or above the n-th largest weight can be taken
+    cand = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
+    order = np.lexsort((cand, -scores[cand], neg[cand]))
+    return SampleSet(tuple(cand[order[:n]]))
 
 
 def measure_of_sample(sample: SampleSet, pool_size: int) -> Measure:

@@ -391,8 +391,16 @@ def _check_pinned(pinned, N: int) -> np.ndarray | None:
     elif pinned.min() < 0 or pinned.max() >= N:
         bad = pinned[(pinned < 0) | (pinned >= N)][0]
         raise DimensionMismatch(f"pinned index {bad} outside [0, {N})")
-    pinned = np.unique(pinned)
+    pinned = _sorted_unique(pinned)
     return pinned if pinned.size else None
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a vector, without the numpy.ma import np.unique makes."""
+    a = np.sort(a)
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
 
 def _count(x: float) -> int:
@@ -475,7 +483,7 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
     """
     N, m = len(aset), _count(SCREEN_FACTOR / eps)
     ws = np.argpartition(-scores_u, m - 1)[:m]
-    ws = np.union1d(ws, pinned) if pinned is not None else np.sort(ws)
+    ws = _sorted_unique(np.concatenate([ws, pinned])) if pinned is not None else np.sort(ws)
     sub = aset.subset(ws)
     pin_sub = None if pinned is None else np.searchsorted(ws, pinned)
 

@@ -228,6 +228,12 @@ def spd_criterion(p):
     return CriterionSpec(p=float(p))
 
 
+def round_to_sample_lexsort(w, n, scores):
+    """Reference for measures.round_to_sample: one lexsort of the whole pool."""
+    order = np.lexsort((np.arange(len(w)), -np.asarray(scores, dtype=float), -w.weights))
+    return SampleSet(tuple(order[:n]))
+
+
 def write_weights_csv_reference(path, weights, scores, selected):
     """Reference for data_io.write_weights_csv: one csv.writer row per point."""
     sel = np.zeros(len(weights), dtype=int)

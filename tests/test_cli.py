@@ -396,8 +396,9 @@ _KEY_SET_RUNS = {
     "two-stage": (["two-stage", "--input", "{labeled}", "--response", "y", "--add-intercept",
                    "--model", "logistic", "--n", "30", "--seed", "9"], {
         "params": ["epsilon", "input", "model", "n", "p", "r", "response", "v"],
-        "results": ["N", "beta_hat", "combined_indices", "fit_iterations", "gap_ratio", "model",
-                    "n", "n_stage1", "p", "phi_relaxed", "r", "stage1_indices"],
+        "results": ["N", "beta_hat", "combined_indices", "fit_iterations", "gap_ratio",
+                    "inner_iterations", "iterations", "model", "n", "n_stage1", "p", "phi_relaxed",
+                    "r", "stage1_indices", "working_set"],
         "timings": ["solve_seconds", "total_seconds"],
         "artifacts": ["weights"]}),
     "bootstrap-eval": (["bootstrap-eval", "--input", "{labeled}", "--response", "y",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from batchdesign import (
@@ -16,7 +16,7 @@ from batchdesign import (
 from batchdesign.errors import InfeasibleEpsilon, InfeasibleMass, PositivityRepairFailed
 from batchdesign.measures import MASS_TOL, _greedy_linear_max, active_set_split
 
-from helpers import greedy_linear_max_sorted, project_capped_simplex_sorted
+from helpers import greedy_linear_max_sorted, project_capped_simplex_sorted, round_to_sample_lexsort
 
 
 def test_measure_validation():
@@ -194,6 +194,21 @@ def test_round_to_sample_tie_breaks():
         round_to_sample(w, 0, np.zeros(4))
     with pytest.raises(ValueError):
         round_to_sample(w, 5, np.zeros(4))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_round_to_sample_matches_full_pool_lexsort(data):
+    # few weight and score levels, so ties at the cap, in the scores and
+    # among zeros are common; n runs up to N, past the nonzero count
+    N = data.draw(st.integers(1, 40))
+    levels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=N, max_size=N)), dtype=float)
+    levels[0] += levels.sum() == 0
+    weights = levels / levels.sum()
+    w = Measure(weights, weights.max())
+    scores = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)), dtype=float)
+    n = data.draw(st.integers(1, N))
+    assert round_to_sample(w, n, scores) == round_to_sample_lexsort(w, n, scores)
 
 
 def test_measure_of_sample_roundtrip():

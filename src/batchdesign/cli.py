@@ -50,7 +50,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=".", help="directory for report.json and CSV artifacts")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--config", help="JSON file mirroring the flags; explicit flags win")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for independent jobs")
 
     def add_data(p: argparse.ArgumentParser) -> None:
         p.add_argument("--response", help="response column name (excluded from features)")
@@ -65,9 +64,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="sample budget")
         p.add_argument("--epsilon", type=float, help="weight cap; None means 1/n")
         p.add_argument("--v", type=float, default=v, help="target gap ratio")
-        p.add_argument("--v0", type=float, default=1e-3, help="boost-phase gap ratio")
-        p.add_argument("--skip-refine", action=argparse.BooleanOptionalAction, default=False,
-                       help="stop after the boost phase")
+        p.add_argument("--v0", type=float, default=1e-3,
+                       help="boost-phase gap ratio; --v at or above it stops after the boost phase")
 
     def add_model(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", choices=["none", "logistic", "cumlink"], default="none",
@@ -114,6 +112,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         add(p_boot)
     p_boot.add_argument("--B", type=int, default=200, help="bootstrap replicates")
     p_boot.add_argument("--methods", default=",".join(BOOTSTRAP_METHODS), help="comma list of methods")
+    p_boot.add_argument("--threads", type=int, default=1, help="worker threads for the replicates")
     for p in sub.choices.values():
         p.formatter_class = argparse.ArgumentDefaultsHelpFormatter
         p.set_defaults(**(config or {}))
@@ -191,7 +190,6 @@ def _solver_config(args, n: int) -> SolverConfig:
         epsilon=float(1.0 / n if args.epsilon is None else args.epsilon),
         v0=float(args.v0),
         v=float(args.v),
-        skip_refine=bool(args.skip_refine),
     )
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import FitDiverged
 from .models import CumulativeLinkSpec, _sigmoid, cumlink_parts
+from .solvers import _sorted_unique
 
 _COND_RTOL = 1e-12
 _PARAM_CAP = 1e8
@@ -107,7 +108,7 @@ def fit_cumlink(Z, y, tol: float = 1e-8, max_iter: int = 100) -> CumlinkFit:
     y = np.asarray(y).ravel()
     if y.shape[0] != Z.shape[0]:
         raise FitDiverged("response length does not match the design matrix")
-    cats = np.unique(y)
+    cats = _sorted_unique(y)
     J = cats.shape[0]
     if J < 2:
         raise FitDiverged("cumulative-link fit needs at least two observed categories")

@@ -207,17 +207,25 @@ def project_capped_simplex(v, epsilon: float, mass: float) -> np.ndarray:
     return u
 
 
-def round_to_sample(w: Measure, n: int, scores) -> SampleSet:
-    """Indices of the n largest weights; ties by larger score, then lower index."""
+def round_to_sample(w: Measure, n: int, scores, pinned=None) -> SampleSet:
+    """The pinned indices, then the largest other weights up to n points;
+    ties by larger score, then lower index."""
     weights = w.weights
     if not 0 < n <= weights.shape[0]:
         raise ValueError(f"cannot take {n} points from a pool of {weights.shape[0]}")
+    pinned = np.asarray([] if pinned is None else pinned, dtype=np.intp)
+    need = n - pinned.size
+    if need < 0:
+        raise ValueError(f"{pinned.size} pinned points exceed the budget n = {n}")
     scores = np.asarray(scores, dtype=float)
     neg = -weights
-    # only points at or above the n-th largest weight can be taken
-    cand = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
+    if pinned.size:
+        neg = neg.copy()
+        neg[pinned] = np.inf
+    # only points at or above the need-th largest weight can be taken
+    cand = np.flatnonzero(neg <= np.partition(neg, need - 1)[need - 1])
     order = np.lexsort((cand, -scores[cand], neg[cand]))
-    return SampleSet(tuple(cand[order[:n]]))
+    return SampleSet(tuple(np.concatenate([pinned, cand[order[:need]]])))
 
 
 def measure_of_sample(sample: SampleSet, pool_size: int) -> Measure:

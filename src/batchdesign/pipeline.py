@@ -16,9 +16,9 @@ import numpy as np
 from .criteria import CriterionSpec
 from .errors import FitDiverged
 from .fitting import fit_cumlink, fit_logistic
-from .measures import SampleSet
+from .measures import SampleSet, round_to_sample
 from .models import CumulativeLinkSpec, LogisticModelSpec, cumlink_atoms, logistic_atoms
-from .solvers import SolveResult, SolverConfig, solve_hybrid
+from .solvers import SolveResult, SolverConfig, _sorted_unique, solve_hybrid
 
 MODEL_NAMES = ("logistic", "cumlink")
 BOOTSTRAP_METHODS = ("two-stage", "random")
@@ -77,15 +77,8 @@ def two_stage_select(Z, y, model: str, n: int, r_frac: float, p: float,
     cfg = replace(cfg, epsilon=eps)
     res = solve_hybrid(atoms, spec, cfg, pinned=stage1_idx)
 
-    # stage-one points are kept; the rest of the budget goes to the largest
-    # free weights, ties by score then index
-    need = n - n1
-    free_mask = np.ones(N, dtype=bool)
-    free_mask[stage1_idx] = False
-    free_idx = np.flatnonzero(free_mask)
-    order = np.lexsort((free_idx, -res.scores[free_idx], -res.w.weights[free_idx]))
-    extra = free_idx[order[:need]]
-    combined = SampleSet(tuple(int(i) for i in np.concatenate([stage1_idx, extra])))
+    # stage-one points are kept; the rest of the budget goes to the largest free weights
+    combined = round_to_sample(res.w, n, res.scores, pinned=stage1_idx)
     return TwoStageResult(stage1, combined, fit, res, p, n, r_frac)
 
 
@@ -128,7 +121,7 @@ def _one_replicate(args):
                 # a record drawn several times is still one observation: the
                 # design must not pay for the same response twice, so the
                 # candidate pool is the distinct resampled records
-                uniq = np.unique(rows)
+                uniq = _sorted_unique(rows)
                 ts = two_stage_select(Z[uniq], y[uniq], model, n, r_frac, p, cfg, rng)
                 pick = uniq[np.array(ts.combined.indices)]
                 fit = _fit_model(model, Z[pick], y[pick])

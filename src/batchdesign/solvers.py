@@ -15,8 +15,7 @@ Four cooperating pieces:
   restricted solves until the gap reaches v;
 * a screen for wide pools: the loop runs on a working set of the points
   best scored at the uniform weighting, and its iterates are checked on the
-  full pool, which goes on from the working set's weights when the check
-  falls short.
+  full pool; a check that falls short sends the solve to the whole pool.
 
 The relative gap (sum_i sg_i phi_i - Phi_p) / Phi_p is an exact optimality
 certificate: value * (1 - gap) lower-bounds the optimal criterion value, so
@@ -71,9 +70,8 @@ INNER_MAX_ITERS = 10000
 # a pool of more than SCREEN_FACTOR / eps points is solved on a working set:
 # the pinned points and the SCREEN_FACTOR / eps best scored at the uniform
 # weighting.  The solve falls back to the whole pool from its usual start
-# when the boosted pilot's full-pool gap exceeds SCREEN_MISS * v0, and goes on
-# with the whole pool from the working set's weights when the refined
-# iterate's full-pool gap is above the target
+# when the boosted pilot's full-pool gap exceeds SCREEN_MISS * v0, or when the
+# screen's last full-pool gap is above the target
 SCREEN_FACTOR = 5.0
 SCREEN_MISS = 2.0
 # a restricted solve stops once its linearized gap is below INNER_TOL * Phi_p
@@ -94,14 +92,13 @@ class SolverConfig:
 
     epsilon is the per-point weight cap (1/n makes every size-n subset
     feasible; a cap of 1 or more binds no weight); v0 is the boost-phase gap
-    target, v the final gap target; skip_refine stops after the boost phase.
+    target, v the final gap target, so v >= v0 stops after the boost phase.
     Step sizes, tolerances and iteration caps are the module constants above.
     """
 
     epsilon: float | None = None
     v0: float = 1e-3
     v: float = 1e-6
-    skip_refine: bool = False
 
     def __post_init__(self):
         if self.epsilon is not None and not 0 < self.epsilon < np.inf:
@@ -111,11 +108,11 @@ class SolverConfig:
 
     @property
     def refine_enabled(self) -> bool:
-        return self.v < self.v0 and not self.skip_refine
+        return self.v < self.v0
 
     @property
     def target_gap(self) -> float:
-        return self.v if self.refine_enabled else self.v0
+        return min(self.v, self.v0)
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ class SolveResult:
     # boost-phase steps taken, restricted solves run and full-pool checks of
     # a screened solve ("boost", "refine", "screen")
     iterations: dict[str, int]
-    # points the final iterate was solved on: N unless the pool was screened
+    # points the final iterate was solved on: N unless the screen certified it
     working_set: int
     inner_iterations: int = 0
     # restricted solves that stopped at INNER_MAX_ITERS
@@ -391,7 +388,8 @@ def _check_pinned(pinned, N: int) -> np.ndarray | None:
     elif pinned.min() < 0 or pinned.max() >= N:
         bad = pinned[(pinned < 0) | (pinned >= N)][0]
         raise DimensionMismatch(f"pinned index {bad} outside [0, {N})")
-    pinned = _sorted_unique(pinned)
+    # intp, so that joining them to other indices keeps an integer dtype
+    pinned = _sorted_unique(pinned).astype(np.intp, copy=False)
     return pinned if pinned.size else None
 
 
@@ -421,8 +419,8 @@ class _Run:
 
 def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.ndarray | None,
              run: _Run, w: Measure, boosting: bool,
-             ev: _Eval | None = None) -> tuple[Measure, _Eval, bool]:
-    """The solve loop on one atom set, from w; returns (w, its _Eval, converged).
+             ev: _Eval | None = None) -> tuple[Measure, _Eval]:
+    """The solve loop on one atom set, from w; returns w and its _Eval.
 
     Each pass evaluates, records and tests the iterate, then makes one move.
     The move is a boost step while boosting, until the gap reaches v0, a step
@@ -449,10 +447,9 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
                     continue
             boosting = False
             if not cfg.refine_enabled:
-                return w, ev, bool(ev.gap_ratio <= cfg.v0)
-        converged = bool(ev.gap_ratio <= cfg.v)
-        if converged or run.iterations["refine"] == MAX_OUTER_ITERS:
-            return w, ev, converged
+                return w, ev
+        if ev.gap_ratio <= cfg.v or run.iterations["refine"] == MAX_OUTER_ITERS:
+            return w, ev
         if stalled:
             stalled = False
             w_next, alpha = _boost_once(aset, w, ev, spec)
@@ -478,8 +475,7 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
     to the whole pool) if its full-pool gap exceeds SCREEN_MISS * v0.  Then
     one refine round on the working set, warm-started, is checked the same
     way.  Returns the zero-padded iterate, its full-pool _Eval and the
-    working-set size, or N when the full-pool gap is above the target and
-    the whole pool should go on from that iterate.
+    working-set size, or None when the last full-pool gap is above the target.
     """
     N, m = len(aset), _count(SCREEN_FACTOR / eps)
     ws = np.argpartition(-scores_u, m - 1)[:m]
@@ -496,15 +492,14 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
 
     start = psg_measure(_pin_scores(scores_u[ws], pin_sub), eps, sub,
                         fallback=Measure(np.full(ws.size, 1.0 / ws.size), eps))
-    w_sub, ev_sub, _ = _descend(sub, spec, replace(cfg, skip_refine=True), pin_sub, run, start,
-                                boosting=True)
+    w_sub, ev_sub = _descend(sub, spec, replace(cfg, v=cfg.v0), pin_sub, run, start, boosting=True)
     w, ev = check(w_sub)
     if ev.gap_ratio > SCREEN_MISS * cfg.v0:
         return None
     if ev.gap_ratio > cfg.target_gap and cfg.refine_enabled:
-        w_sub, _, _ = _descend(sub, spec, cfg, pin_sub, run, w_sub, boosting=False, ev=ev_sub)
+        w_sub, _ = _descend(sub, spec, cfg, pin_sub, run, w_sub, boosting=False, ev=ev_sub)
         w, ev = check(w_sub)
-    return w, ev, ws.size if ev.gap_ratio <= cfg.target_gap else N
+    return (w, ev, ws.size) if ev.gap_ratio <= cfg.target_gap else None
 
 
 def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
@@ -514,11 +509,11 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     Starts from the projected steepest-gradient measure of the uniform
     weighting and runs the solve loop (see _descend): boost steps until the
     gap reaches v0, then restricted solves until it reaches v (skipped when
-    v >= v0 or skip_refine is set).  A pool of more than SCREEN_FACTOR / eps
-    points is solved on a working set (see _screen); the returned weights,
-    scores and gap are always those of the full pool.  ``pinned`` points (a
-    mask or integer indices) are held at the cap throughout, which is how
-    already-purchased points enter.
+    v >= v0).  A pool of more than SCREEN_FACTOR / eps points is first solved
+    on a working set (see _screen), and on the whole pool when that falls
+    short; the returned weights, scores and gap are always those of the full
+    pool.  ``pinned`` points (a mask or integer indices) are held at the cap
+    throughout, which is how already-purchased points enter.
     """
     aset = as_atom_set(atoms)
     if cfg.epsilon is None:
@@ -548,14 +543,11 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
         run = _Run(SolveTrace(), run.t0, {"boost": 0, "refine": 0,
                                           "screen": run.iterations["screen"]})
         w = psg_measure(_pin_scores(scores_u, pinned), eps, aset, fallback=uniform)
-        w, ev, converged = _descend(aset, spec, cfg, pinned, run, w, boosting=True)
+        w, ev = _descend(aset, spec, cfg, pinned, run, w, boosting=True)
         working_set = N
     else:
         w, ev, working_set = screened
-        converged = bool(ev.gap_ratio <= cfg.target_gap)
-        if working_set == N:
-            w, ev, converged = _descend(aset, spec, cfg, pinned, run, w,
-                                        boosting=not cfg.refine_enabled, ev=ev)
+    converged = bool(ev.gap_ratio <= cfg.target_gap)
     return SolveResult(w=w, trace=run.trace, converged=converged, gap_ratio=ev.gap_ratio,
                        phi_value=ev.state.phi_value, scores=ev.scores,
                        iterations=run.iterations, working_set=working_set,

@@ -228,10 +228,15 @@ def spd_criterion(p):
     return CriterionSpec(p=float(p))
 
 
-def round_to_sample_lexsort(w, n, scores):
-    """Reference for measures.round_to_sample: one lexsort of the whole pool."""
-    order = np.lexsort((np.arange(len(w)), -np.asarray(scores, dtype=float), -w.weights))
-    return SampleSet(tuple(order[:n]))
+def round_to_sample_lexsort(w, n, scores, pinned=None):
+    """Reference for measures.round_to_sample: the pinned points, then one
+    lexsort of all the other points."""
+    pinned = np.asarray([] if pinned is None else pinned, dtype=int)
+    free_mask = np.ones(len(w), dtype=bool)
+    free_mask[pinned] = False
+    free_idx = np.flatnonzero(free_mask)
+    order = np.lexsort((free_idx, -np.asarray(scores, dtype=float)[free_idx], -w.weights[free_idx]))
+    return SampleSet(tuple(np.concatenate([pinned, free_idx[order[:n - pinned.size]]])))
 
 
 def write_weights_csv_reference(path, weights, scores, selected):

@@ -80,9 +80,10 @@ def test_select_same_seed_is_identical(pool_csv, tmp_path):
 
 def test_select_nonconvergence_exit_code(pool_csv, tmp_path):
     out = tmp_path / "out"
-    # at n=8 the boost phase stalls around gap 1e-6, far above this target
+    # at n=8 the boost phase stalls around gap 1e-6, far above this target;
+    # --v equal to --v0 is a boost-only solve
     code = main(["select", "--input", str(pool_csv), "--n", "8", "--v0", "1e-12",
-                 "--skip-refine", "--output-dir", str(out)])
+                 "--v", "1e-12", "--output-dir", str(out)])
     assert code == 4
     rep = _report(out)
     assert rep["converged"] is False
@@ -231,11 +232,29 @@ def test_bench_solver_config_follows_flags(tmp_path, monkeypatch):
         return bench_mod.BenchResult(N=len(atoms), k=atoms.k, n=n, p=p)
 
     monkeypatch.setattr(cli_mod, "run_bench", fake_run_bench)
-    assert main(["bench", "--N", "60", "--k", "3", "--n", "10", "--skip-refine",
+    assert main(["bench", "--N", "60", "--k", "3", "--n", "10", "--v", "1e-2",
                  "--v0", "1e-2", "--output-dir", str(tmp_path / "out")]) == 0
     cfg = seen["cfg"]
-    assert cfg.skip_refine is True
-    assert (cfg.epsilon, cfg.v0, cfg.v) == (0.1, 1e-2, 1e-3)
+    assert cfg.refine_enabled is False
+    assert (cfg.epsilon, cfg.v0, cfg.v) == (0.1, 1e-2, 1e-2)
+
+
+def test_select_threads_exits_2(pool_csv, tmp_path, capsys):
+    # --threads is read by bootstrap-eval only, and boost-only is --v equal to --v0
+    argvs = [[command, "--threads", "2"] for command in sorted(cli_mod._HANDLERS)
+             if command != "bootstrap-eval"]
+    argvs += [[command, "--skip-refine"] for command in sorted(cli_mod._HANDLERS)]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for key in ("threads", "skip_refine"):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert main(["select", "--input", str(pool_csv), "--config", str(cfg), "--n", "5",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "unknown option" in capsys.readouterr().err
 
 
 def test_bench_exit_code_reports_failed_and_nonconverged_methods(tmp_path, monkeypatch, capsys):

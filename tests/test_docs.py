@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -38,3 +39,15 @@ def test_readme_v_defaults_match_parser():
               for command in ("select", "efficiency", "bench", "cross-criteria", "two-stage",
                               "bootstrap-eval")}
     assert documented == actual
+
+
+def test_readme_solver_config_and_constants_match_the_code():
+    from batchdesign import solvers
+
+    text = " ".join(README.read_text().split())
+    sentence = text.split("`SolverConfig` holds what a caller chooses:", 1)[1].split(".", 1)[0]
+    documented = re.findall(r"`([a-z_0-9]+)`", sentence)
+    assert documented == [f.name for f in dataclasses.fields(solvers.SolverConfig)]
+    constants = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", text))
+    assert {"SCREEN_FACTOR", "SCREEN_MISS", "INNER_TOL"} <= constants
+    assert sorted(name for name in constants if not hasattr(solvers, name)) == []

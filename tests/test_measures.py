@@ -194,6 +194,10 @@ def test_round_to_sample_tie_breaks():
         round_to_sample(w, 0, np.zeros(4))
     with pytest.raises(ValueError):
         round_to_sample(w, 5, np.zeros(4))
+    # pinned points come first, even at the lowest weight
+    assert round_to_sample(big, 2, np.zeros(4), pinned=[3]).indices == (1, 3)
+    with pytest.raises(ValueError, match="exceed the budget"):
+        round_to_sample(w, 1, np.zeros(4), pinned=[0, 1])
 
 
 @settings(max_examples=200)
@@ -209,6 +213,11 @@ def test_round_to_sample_matches_full_pool_lexsort(data):
     scores = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)), dtype=float)
     n = data.draw(st.integers(1, N))
     assert round_to_sample(w, n, scores) == round_to_sample_lexsort(w, n, scores)
+    # pinned points are taken first, whatever their weights
+    pinned = np.array(data.draw(st.lists(st.integers(0, N - 1), max_size=n, unique=True)), dtype=int)
+    got = round_to_sample(w, n, scores, pinned=pinned)
+    assert got == round_to_sample_lexsort(w, n, scores, pinned)
+    assert set(pinned.tolist()) <= set(got.indices)
 
 
 def test_measure_of_sample_roundtrip():

@@ -154,12 +154,16 @@ def test_strip_volatile_keeps_deterministic_keys():
 
 def test_cli_import_leaves_jsonschema_unloaded(tmp_path):
     # jsonschema words a rejected report and numpy.ma comes with np.unique:
-    # neither is imported by the CLI or by a select or two-stage run
+    # neither is imported by the CLI or by a select or two-stage run, with a
+    # logistic or a cumulative-link model
     rng = np.random.default_rng(5)
     Z = rng.standard_normal((400, 2))
     y = (rng.random(400) < 1.0 / (1.0 + np.exp(-Z[:, 0]))).astype(int)
     np.savetxt(tmp_path / "pool.csv", Z, delimiter=",", header="x1,x2", comments="")
     np.savetxt(tmp_path / "labeled.csv", np.column_stack([Z, y]), delimiter=",",
+               header="x1,x2,y", comments="", fmt=["%.17g", "%.17g", "%d"])
+    grade = np.digitize(Z[:, 0] + rng.logistic(size=400), [-0.5, 0.5])
+    np.savetxt(tmp_path / "graded.csv", np.column_stack([Z, grade]), delimiter=",",
                header="x1,x2,y", comments="", fmt=["%.17g", "%.17g", "%d"])
     src = str(Path(batchdesign.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -173,6 +177,8 @@ assert cli.main(["select", "--input", "pool.csv", "--add-intercept", "--n", "20"
                  "--output-dir", "select"]) == 0
 assert cli.main(["two-stage", "--input", "labeled.csv", "--response", "y", "--add-intercept",
                  "--model", "logistic", "--n", "30", "--output-dir", "two-stage"]) == 0
+assert cli.main(["two-stage", "--input", "graded.csv", "--response", "y", "--model", "cumlink",
+                 "--n", "60", "--output-dir", "cumlink"]) == 0
 print([m for m in lazy if m in sys.modules])
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,

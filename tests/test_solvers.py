@@ -48,8 +48,8 @@ def test_config_validation_and_modes():
         SolverConfig(v=2.0)
     cfg = SolverConfig(v0=1e-3, v=1e-6)
     assert cfg.refine_enabled and cfg.target_gap == 1e-6
-    assert not SolverConfig(v0=1e-3, v=1e-6, skip_refine=True).refine_enabled
-    assert SolverConfig(v0=1e-3, v=1e-6, skip_refine=True).target_gap == 1e-3
+    assert not SolverConfig(v0=1e-3, v=1e-3).refine_enabled
+    assert SolverConfig(v0=1e-3, v=1e-3).target_gap == 1e-3
     assert not SolverConfig(v0=1e-6, v=1e-3).refine_enabled
 
 
@@ -109,9 +109,10 @@ def test_trace_monotone_and_phases(rng):
     assert set(res.trace.phase_seconds()) <= {"boost", "refine"}
 
 
-def test_skip_refine_stops_at_coarse_gap(rng):
+def test_boost_only_stops_at_coarse_gap(rng):
+    # v = v0 is a boost-only solve
     X = gaussian_pool(rng, 40, 3)
-    res = solve_hybrid(X, CriterionSpec(p=1.0), _cfg(0.1, v0=1e-3, v=1e-8, skip_refine=True))
+    res = solve_hybrid(X, CriterionSpec(p=1.0), _cfg(0.1, v0=1e-3, v=1e-3))
     assert res.iterations["refine"] == 0
     assert res.converged
     assert res.gap_ratio <= 1e-3
@@ -342,6 +343,9 @@ def test_pinned_input_validated_up_front(rng):
     mask[[3, 7]] = True
     by_mask = solve_hybrid(X, spec, cfg, pinned=mask)
     assert np.array_equal(by_mask.w.weights, solve_hybrid(X, spec, cfg, pinned=[7, 3]).w.weights)
+    # unsigned pins index the screened working set like signed ones
+    unsigned = solve_hybrid(X, spec, cfg, pinned=np.array([3, 7], dtype=np.uint64))
+    assert np.array_equal(by_mask.w.weights, unsigned.w.weights)
 
 
 def _assert_full_pool_result(atoms, res, spec, v, pinned=None):
@@ -425,10 +429,10 @@ def test_heavy_tailed_pool_falls_back_to_the_whole_pool():
     _assert_full_pool_result(X, res, spec, cfg.v)
 
 
-def test_undersized_working_set_hands_over_to_the_whole_pool(monkeypatch):
+def test_undersized_working_set_falls_back_to_the_whole_pool(monkeypatch):
     # a working set of 1.5 / eps points passes the pilot but misses points of
     # the optimum, so the refined iterate's full-pool check falls short and
-    # the whole pool goes on from the padded weights
+    # the whole-pool solve runs from its usual start
     X = gaussian_pool(np.random.default_rng(0), 300, 4)
     spec, cfg = CriterionSpec(p=1.0), _cfg(1.0 / 30)
     whole = _whole_pool(X, spec, cfg)
@@ -436,8 +440,8 @@ def test_undersized_working_set_hands_over_to_the_whole_pool(monkeypatch):
     res = solve_hybrid(X, spec, cfg)
     assert res.iterations["screen"] == 2 and res.working_set == 300
     assert res.trace.is_monotone()
+    _assert_same_solve(res, whole)
     _assert_full_pool_result(X, res, spec, cfg.v)
-    assert abs(res.phi_value / whole.phi_value - 1.0) <= cfg.v / (1.0 - cfg.v) + 1e-12
 
 
 @pytest.mark.parametrize("N, n", [(150, 30), (3000, 600), (151, 30)])

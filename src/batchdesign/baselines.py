@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import as_atom_set
+from .atoms import AtomSet, as_atom_set
+from .criteria import CriterionSpec, build_info_state, is_singular
 from .errors import SingularInformation
-from .measures import SampleSet
+from .measures import SampleSet, measure_of_sample
 
 # steps between from-scratch rebuilds of the maintained inverse
 _REBUILD_EVERY = 512
@@ -30,10 +31,6 @@ class BaselineResult:
     iterations: int
 
 
-def _leverages(X: np.ndarray, M_inv: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,ni->n", X @ M_inv, X)
-
-
 def _tied_argmin(values: np.ndarray, orig_idx: np.ndarray) -> int:
     """Position of the minimum; exact ties resolved by smallest original index."""
     best = values.min()
@@ -41,16 +38,6 @@ def _tied_argmin(values: np.ndarray, orig_idx: np.ndarray) -> int:
     if ties.size == 1:
         return int(ties[0])
     return int(ties[np.argmin(orig_idx[ties])])
-
-
-def _sample_phi0(X: np.ndarray, idx: np.ndarray) -> float:
-    """Determinant-criterion value of the uniform measure on the sample."""
-    n = idx.shape[0]
-    M = X[idx].T @ X[idx] / n
-    sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise SingularInformation("sample information matrix is singular")
-    return float(np.exp(-logdet / X.shape[1]))
 
 
 def _rank_first(X: np.ndarray, order: np.ndarray) -> list[int]:
@@ -77,40 +64,57 @@ def _rank_first(X: np.ndarray, order: np.ndarray) -> list[int]:
     return taken
 
 
+def _pool(atoms, n: int, method: str) -> tuple[AtomSet, np.ndarray]:
+    """The pool as rank-one atoms with k <= n <= N and its information sum_i x_i x_i^T."""
+    aset = as_atom_set(atoms)
+    if aset.kind != "vector":
+        raise ValueError(f"{method} requires rank-one atoms")
+    N, k = aset.data.shape
+    if not k <= n <= N:
+        raise ValueError(f"need k <= n <= N, got k={k}, n={n}, N={N}")
+    M = aset.data.T @ aset.data
+    if is_singular(np.linalg.eigvalsh(M)):
+        raise SingularInformation("full pool information matrix is singular")
+    return aset, M
+
+
+def _downdate(M_inv: np.ndarray, x: np.ndarray, lev: float, point: int) -> np.ndarray:
+    """M(S)^-1 after point x leaves S (Sherman-Morrison); lev = x^T M(S)^-1 x."""
+    denom = 1.0 - lev
+    if denom <= _DEGENERATE:
+        raise SingularInformation(
+            f"removing point {point} would make the information singular")
+    u = M_inv @ x
+    return M_inv + np.outer(u, u) / denom
+
+
+def _result(aset: AtomSet, chosen: np.ndarray, iterations: int) -> BaselineResult:
+    """The sample with its determinant-criterion value Phi_0 at 1/n weights."""
+    sample = SampleSet(tuple(chosen))
+    phi0 = build_info_state(aset, measure_of_sample(sample, len(aset)), CriterionSpec(p=0.0))
+    return BaselineResult(sample=sample, criterion_value=phi0.phi_value, iterations=iterations)
+
+
 def backward_select(atoms, n: int) -> BaselineResult:
     """Delete the lowest-leverage point until n remain.
 
     Each step scans leverages x^T M(S)^-1 x over the current sample and
     removes the minimizer with a rank-one downdate of the inverse.
     """
-    aset = as_atom_set(atoms)
-    if aset.kind != "vector":
-        raise ValueError("backward deletion requires rank-one atoms")
-    X = aset.data
-    N, k = X.shape
-    if not k <= n <= N:
-        raise ValueError(f"need k <= n <= N, got k={k}, n={n}, N={N}")
-
-    Xa = np.array(X, copy=True)
+    aset, M = _pool(atoms, n, "backward deletion")
+    N = len(aset)
+    # a copy whose first `size` rows are the current sample
+    work = aset.subset(np.arange(N))
+    Xa = work.data
     idx = np.arange(N)
     size = N
-    M = Xa.T @ Xa
-    lam = np.linalg.eigvalsh(M)
-    if lam[0] < _DEGENERATE * max(lam[-1], 1e-300):
-        raise SingularInformation("full pool information matrix is singular")
     M_inv = np.linalg.inv(M)
 
     steps = 0
     while size > n:
-        lev = _leverages(Xa[:size], M_inv)
+        lev = work.subset(slice(0, size)).quad_forms(M_inv)
         j = _tied_argmin(lev, idx[:size])
-        denom = 1.0 - lev[j]
-        if denom <= _DEGENERATE:
-            raise SingularInformation(
-                f"removing point {idx[j]} would make the information singular")
-        x = Xa[j]
-        u = M_inv @ x
-        M_inv = M_inv + np.outer(u, u) / denom
+        M_inv = _downdate(M_inv, Xa[j], lev[j], idx[j])
         size -= 1
         Xa[j], Xa[size] = Xa[size], Xa[j].copy()
         idx[j], idx[size] = idx[size], idx[j]
@@ -118,10 +122,7 @@ def backward_select(atoms, n: int) -> BaselineResult:
         if steps % _REBUILD_EVERY == 0:
             M_inv = np.linalg.inv(Xa[:size].T @ Xa[:size])
 
-    chosen = np.sort(idx[:size])
-    return BaselineResult(sample=SampleSet(tuple(chosen)),
-                          criterion_value=_sample_phi0(X, chosen),
-                          iterations=steps)
+    return _result(aset, np.sort(idx[:size]), steps)
 
 
 def exchange_select(atoms, n: int) -> BaselineResult:
@@ -133,19 +134,10 @@ def exchange_select(atoms, n: int) -> BaselineResult:
     swap and is accepted only when it increases det M(S); the loop stops at
     the first non-improving proposal.
     """
-    aset = as_atom_set(atoms)
-    if aset.kind != "vector":
-        raise ValueError("exchange requires rank-one atoms")
+    aset, M_pool = _pool(atoms, n, "exchange")
     X = aset.data
-    N, k = X.shape
-    if not k <= n <= N:
-        raise ValueError(f"need k <= n <= N, got k={k}, n={n}, N={N}")
-
-    M_pool = X.T @ X
-    lam = np.linalg.eigvalsh(M_pool)
-    if lam[0] < _DEGENERATE * max(lam[-1], 1e-300):
-        raise SingularInformation("full pool information matrix is singular")
-    lev_pool = _leverages(X, np.linalg.inv(M_pool))
+    N = len(aset)
+    lev_pool = aset.quad_forms(np.linalg.inv(M_pool))
     order = np.lexsort((np.arange(N), -lev_pool))
     in_mask = np.zeros(N, dtype=bool)
     start = _rank_first(X, order)
@@ -153,15 +145,14 @@ def exchange_select(atoms, n: int) -> BaselineResult:
     in_mask[order[~in_mask[order]][:n - len(start)]] = True
 
     M = X[in_mask].T @ X[in_mask]
-    lam = np.linalg.eigvalsh(M)
-    if lam[0] < _DEGENERATE * max(lam[-1], 1e-300):
+    if is_singular(np.linalg.eigvalsh(M)):
         raise SingularInformation("initial exchange sample is singular")
     M_inv = np.linalg.inv(M)
 
     all_idx = np.arange(N)
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
-        lev = _leverages(X, M_inv)
+        lev = aset.quad_forms(M_inv)
         ins = np.flatnonzero(in_mask)
         outs = np.flatnonzero(~in_mask)
         if outs.size == 0:
@@ -169,16 +160,10 @@ def exchange_select(atoms, n: int) -> BaselineResult:
         i_out = ins[_tied_argmin(lev[ins], all_idx[ins])]
         j_in = outs[_tied_argmin(-lev[outs], all_idx[outs])]
 
-        a = 1.0 - lev[i_out]
-        if a <= _DEGENERATE:
-            raise SingularInformation(
-                f"removing point {i_out} would make the information singular")
-        x_out = X[i_out]
-        u = M_inv @ x_out
-        M_inv_minus = M_inv + np.outer(u, u) / a
+        M_inv_minus = _downdate(M_inv, X[i_out], lev[i_out], i_out)
         x_in = X[j_in]
         b = 1.0 + float(x_in @ M_inv_minus @ x_in)
-        if a * b <= 1.0 + 1e-12:
+        if (1.0 - lev[i_out]) * b <= 1.0 + 1e-12:
             break
         v = M_inv_minus @ x_in
         M_inv = M_inv_minus - np.outer(v, v) / b
@@ -188,7 +173,4 @@ def exchange_select(atoms, n: int) -> BaselineResult:
         if sweeps % _REBUILD_EVERY == 0:
             M_inv = np.linalg.inv(X[in_mask].T @ X[in_mask])
 
-    chosen = np.flatnonzero(in_mask)
-    return BaselineResult(sample=SampleSet(tuple(chosen)),
-                          criterion_value=_sample_phi0(X, chosen),
-                          iterations=sweeps)
+    return _result(aset, np.flatnonzero(in_mask), sweeps)

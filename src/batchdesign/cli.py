@@ -142,6 +142,9 @@ def _load_config(args: argparse.Namespace) -> dict:
 def _load_features(args):
     if not args.input:
         raise ParseError("--input is required for this command")
+    if getattr(args, "model", None) == "cumlink" and getattr(args, "add_intercept", False):
+        raise ParseError("--add-intercept cannot be used with --model cumlink: the model's "
+                         "cutpoints absorb an intercept, so its information is singular")
     # bench and cross-criteria take --input without the feature-transform flags
     ds = read_dataset(args.input, response_col=getattr(args, "response", None),
                       add_intercept=bool(getattr(args, "add_intercept", False)))

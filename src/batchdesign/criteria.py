@@ -87,11 +87,16 @@ def _phi_from_eigs(lam: np.ndarray, p: float, q: int) -> float:
     return float(np.exp((log_tr - np.log(q)) / p))
 
 
+def is_singular(lam: np.ndarray) -> bool:
+    """Whether ascending eigenvalues lam of an information matrix mark it singular."""
+    return bool(lam[-1] <= 0 or lam[0] < SINGULAR_RTOL * lam[-1])
+
+
 def info_state_from_m(M: np.ndarray, spec: CriterionSpec) -> InfoState:
     """Build an InfoState directly from an information matrix."""
     M = 0.5 * (M + M.T)
     lam, V = np.linalg.eigh(M)
-    if lam[-1] <= 0 or lam[0] < SINGULAR_RTOL * lam[-1]:
+    if is_singular(lam):
         raise SingularInformation(
             f"information matrix is singular (eig range [{lam[0]:.3e}, {lam[-1]:.3e}])"
         )

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import is_singular
 from .errors import FitDiverged
+from .measures import _sorted_unique
 from .models import CumulativeLinkSpec, _sigmoid, cumlink_parts
-from .solvers import _sorted_unique
 
-_COND_RTOL = 1e-12
 _PARAM_CAP = 1e8
 
 
@@ -43,7 +43,7 @@ class CumlinkFit:
 
 def _solve_scoring(info: np.ndarray, grad: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigvalsh(info)
-    if lam[-1] <= 0 or lam[0] < _COND_RTOL * lam[-1]:
+    if is_singular(lam):
         raise FitDiverged(
             f"information matrix is numerically singular (eig range "
             f"[{lam[0]:.3e}, {lam[-1]:.3e}]); data may be separable or collinear")

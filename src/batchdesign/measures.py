@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import as_atom_set
-from .errors import InfeasibleEpsilon, InfeasibleMass, PositivityRepairFailed
+from .criteria import is_singular
+from .errors import DimensionMismatch, InfeasibleEpsilon, InfeasibleMass, PositivityRepairFailed
 
 # tolerance bands shared by validation and active-set classification
 CAP_SLACK = 1e-12       # allowed overshoot of a single weight above eps
@@ -20,7 +21,6 @@ SUM_TOL = 1e-10         # allowed deviation of the total mass from one
 ZERO_BAND = 1e-9        # |w_i| below this counts as "at zero"
 CAP_BAND = 1e-9         # |w_i - eps| below this counts as "at the cap"
 MASS_TOL = 1e-12        # projection accuracy on the total mass
-_PD_RTOL = 1e-12        # relative eigenvalue cutoff used by the PD probe
 _PROJ_MAX_ITERS = 200   # Newton/bisection steps of the projection (5-12 in practice)
 
 
@@ -120,23 +120,19 @@ def sg_measure(scores, epsilon: float) -> Measure:
     return Measure(_greedy_linear_max(scores, float(epsilon), 1.0), epsilon)
 
 
-def _is_pd(M: np.ndarray) -> bool:
-    lam = np.linalg.eigvalsh(M)
-    return lam[-1] > 0 and lam[0] >= _PD_RTOL * lam[-1]
-
-
-def psg_measure(scores, epsilon: float, atoms, fallback: Measure) -> Measure:
+def psg_measure(scores, epsilon: float, atoms) -> Measure:
     """Steepest-gradient measure with a positivity repair.
 
     If the plain measure yields a singular information matrix, blend an
-    increasing fraction delta of the fallback (whose information must be
-    positive definite) until positivity is restored.
+    increasing fraction delta of the pool's uniform weighting until
+    positivity is restored.
     """
     sg = sg_measure(scores, epsilon)
     aset = as_atom_set(atoms)
+    uniform = np.full(len(aset), 1.0 / len(aset))
     for delta in (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-        wts = sg.weights if delta == 0.0 else (1.0 - delta) * sg.weights + delta * fallback.weights
-        if _is_pd(aset.weighted_sum(wts)):
+        wts = sg.weights if delta == 0.0 else (1.0 - delta) * sg.weights + delta * uniform
+        if not is_singular(np.linalg.eigvalsh(aset.weighted_sum(wts))):
             return sg if delta == 0.0 else Measure(wts, epsilon)
     raise PositivityRepairFailed("no blend up to delta = 1e-2 produced a PD information matrix")
 
@@ -207,13 +203,49 @@ def project_capped_simplex(v, epsilon: float, mass: float) -> np.ndarray:
     return u
 
 
+def _check_pinned(pinned, N: int) -> np.ndarray | None:
+    """Pinned points as sorted distinct indices; None when there are none.
+
+    A boolean mask must have one entry per point.  Indices must be integers
+    in [0, N); a repeated index pins its point once.
+    """
+    if pinned is None:
+        return None
+    pinned = np.atleast_1d(np.asarray(pinned))
+    if pinned.dtype == bool:
+        if pinned.shape != (N,):
+            raise DimensionMismatch(f"pinned mask has shape {pinned.shape} for {N} points")
+        pinned = np.flatnonzero(pinned)
+    elif pinned.size == 0:
+        return None
+    elif pinned.ndim != 1 or pinned.dtype.kind not in "iu":
+        raise DimensionMismatch(
+            f"pinned must be a mask or a vector of integer indices, got {pinned.dtype} "
+            f"with shape {pinned.shape}")
+    elif pinned.min() < 0 or pinned.max() >= N:
+        bad = pinned[(pinned < 0) | (pinned >= N)][0]
+        raise DimensionMismatch(f"pinned index {bad} outside [0, {N})")
+    # intp, so that joining them to other indices keeps an integer dtype
+    pinned = _sorted_unique(pinned).astype(np.intp, copy=False)
+    return pinned if pinned.size else None
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a vector, without the numpy.ma import np.unique makes."""
+    a = np.sort(a)
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def round_to_sample(w: Measure, n: int, scores, pinned=None) -> SampleSet:
-    """The pinned indices, then the largest other weights up to n points;
-    ties by larger score, then lower index."""
+    """The pinned points (a mask or indices), then the largest other weights
+    up to n points; ties by larger score, then lower index."""
     weights = w.weights
     if not 0 < n <= weights.shape[0]:
         raise ValueError(f"cannot take {n} points from a pool of {weights.shape[0]}")
-    pinned = np.asarray([] if pinned is None else pinned, dtype=np.intp)
+    pinned = _check_pinned(pinned, weights.shape[0])
+    pinned = np.zeros(0, dtype=np.intp) if pinned is None else pinned
     need = n - pinned.size
     if need < 0:
         raise ValueError(f"{pinned.size} pinned points exceed the budget n = {n}")

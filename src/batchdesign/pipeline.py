@@ -16,9 +16,9 @@ import numpy as np
 from .criteria import CriterionSpec
 from .errors import FitDiverged
 from .fitting import fit_cumlink, fit_logistic
-from .measures import SampleSet, round_to_sample
+from .measures import SampleSet, _sorted_unique, round_to_sample
 from .models import CumulativeLinkSpec, LogisticModelSpec, cumlink_atoms, logistic_atoms
-from .solvers import SolveResult, SolverConfig, _sorted_unique, solve_hybrid
+from .solvers import SolveResult, SolverConfig, solve_hybrid
 
 MODEL_NAMES = ("logistic", "cumlink")
 BOOTSTRAP_METHODS = ("two-stage", "random")

@@ -39,16 +39,13 @@ from .criteria import (
     info_state_from_m,
     phi_p_scores,
 )
-from .errors import (
-    DimensionMismatch,
-    InfeasibleEpsilon,
-    PositivityRepairFailed,
-    SingularInformation,
-)
+from .errors import InfeasibleEpsilon, PositivityRepairFailed, SingularInformation
 from .measures import (
     CAP_SLACK,
     Measure,
+    _check_pinned,
     _greedy_linear_max,
+    _sorted_unique,
     active_set_split,
     project_capped_simplex,
     psg_measure,
@@ -366,41 +363,6 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     return Measure(full, eps), float(state.phi_value), inner, cap_hit
 
 
-def _check_pinned(pinned, N: int) -> np.ndarray | None:
-    """Pinned points as sorted distinct indices; None when there are none.
-
-    A boolean mask must have one entry per point.  Indices must be integers
-    in [0, N); a repeated index pins its point once.
-    """
-    if pinned is None:
-        return None
-    pinned = np.atleast_1d(np.asarray(pinned))
-    if pinned.dtype == bool:
-        if pinned.shape != (N,):
-            raise DimensionMismatch(f"pinned mask has shape {pinned.shape} for {N} points")
-        pinned = np.flatnonzero(pinned)
-    elif pinned.size == 0:
-        return None
-    elif pinned.ndim != 1 or pinned.dtype.kind not in "iu":
-        raise DimensionMismatch(
-            f"pinned must be a mask or a vector of integer indices, got {pinned.dtype} "
-            f"with shape {pinned.shape}")
-    elif pinned.min() < 0 or pinned.max() >= N:
-        bad = pinned[(pinned < 0) | (pinned >= N)][0]
-        raise DimensionMismatch(f"pinned index {bad} outside [0, {N})")
-    # intp, so that joining them to other indices keeps an integer dtype
-    pinned = _sorted_unique(pinned).astype(np.intp, copy=False)
-    return pinned if pinned.size else None
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique of a vector, without the numpy.ma import np.unique makes."""
-    a = np.sort(a)
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
-
-
 def _count(x: float) -> int:
     """ceil(x) for a point count such as 5 / eps, forgiving the rounding of x."""
     return int(np.ceil(x * (1.0 - 1e-12)))
@@ -425,10 +387,10 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
     Each pass evaluates, records and tests the iterate, then makes one move.
     The move is a boost step while boosting, until the gap reaches v0, a step
     is zero or MAX_BOOST_ITERS steps were taken; the loop then returns if
-    refinement is off.  After that it is a restricted solve
-    on the projected steepest-gradient split until the gap reaches v, except
-    that a restricted solve which stalled is followed by one boost step.  A
-    given ev is w's evaluation, already recorded.
+    refinement is off.  After that it is a restricted solve on the split
+    against the evaluation's steepest-gradient measure ev.sg until the gap
+    reaches v, except that a restricted solve which stalled is followed by
+    one boost step.  A given ev is w's evaluation, already recorded.
     """
     phase, alpha, stalled = "boost", np.nan, False
     while True:
@@ -456,9 +418,8 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
             if alpha > 0.0:
                 w, ev, phase = w_next, None, "boost"
                 continue
-        sg_pd = psg_measure(_pin_scores(ev.scores, pinned), w.epsilon, aset, fallback=w)
         phi_old = ev.state.phi_value
-        w, phi_new, inner, cap_hit = _restricted(aset, w, sg_pd, spec, pinned, phi_ref=phi_old)
+        w, phi_new, inner, cap_hit = _restricted(aset, w, ev.sg, spec, pinned, phi_ref=phi_old)
         run.iterations["refine"] += 1
         run.inner += inner
         run.cap_hits += cap_hit
@@ -490,8 +451,7 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
         run.iterations["screen"] += 1
         return w, _evaluate(aset, w, spec, pinned)
 
-    start = psg_measure(_pin_scores(scores_u[ws], pin_sub), eps, sub,
-                        fallback=Measure(np.full(ws.size, 1.0 / ws.size), eps))
+    start = psg_measure(_pin_scores(scores_u[ws], pin_sub), eps, sub)
     w_sub, ev_sub = _descend(sub, spec, replace(cfg, v=cfg.v0), pin_sub, run, start, boosting=True)
     w, ev = check(w_sub)
     if ev.gap_ratio > SCREEN_MISS * cfg.v0:
@@ -542,7 +502,7 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
         # the whole pool from the usual start; a failed screen keeps only its count
         run = _Run(SolveTrace(), run.t0, {"boost": 0, "refine": 0,
                                           "screen": run.iterations["screen"]})
-        w = psg_measure(_pin_scores(scores_u, pinned), eps, aset, fallback=uniform)
+        w = psg_measure(_pin_scores(scores_u, pinned), eps, aset)
         w, ev = _descend(aset, spec, cfg, pinned, run, w, boosting=True)
         working_set = N
     else:

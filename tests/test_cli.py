@@ -183,6 +183,32 @@ def test_non_finite_model_parameters_exit_2(pool_csv, tmp_path, capsys):
     assert "beta has a non-finite entry" in err
 
 
+def test_cumlink_with_intercept_exits_2(tmp_path, capsys):
+    # the proportional-odds cutpoints absorb an intercept column, so the
+    # pair is an input error on every subcommand that takes both flags
+    rng = np.random.default_rng(13)
+    Z = rng.standard_normal((120, 2))
+    y = np.digitize(Z @ np.array([1.0, -0.5]) + rng.logistic(size=120), [-0.8, 0.8])
+    data = tmp_path / "graded.csv"
+    data.write_text("x1,x2,y\n" + "\n".join(f"{a:.12g},{b:.12g},{c}" for (a, b), c in zip(Z, y)) + "\n")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"beta": [0.0, 1.0, -0.5], "theta_cuts": [-0.8, 0.8]}))
+    candidate = tmp_path / "cand.txt"
+    candidate.write_text("\n".join(str(i) for i in range(20)) + "\n")
+    common = ["--input", str(data), "--response", "y", "--model", "cumlink", "--n", "20",
+              "--output-dir", str(tmp_path / "out")]
+    runs = {"select": ["--params", str(params)],
+            "efficiency": ["--params", str(params), "--candidate", str(candidate)],
+            "two-stage": ["--r", "0.5"],
+            "bootstrap-eval": ["--r", "0.5", "--B", "2"]}
+    for command, extra in runs.items():
+        assert main([command, *common, *extra, "--add-intercept"]) == 2, command
+        err = capsys.readouterr().err
+        assert "--add-intercept" in err and "cutpoints" in err, command
+    # without the intercept the same graded pool fits and solves
+    assert main(["two-stage", *common, "--r", "0.5"]) == 0
+
+
 def test_degenerate_pool_exits_3(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("a,b\n" + "\n".join(f"{v},{2 * v}" for v in range(1, 13)) + "\n")

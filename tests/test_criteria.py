@@ -9,8 +9,17 @@ from batchdesign import (
     build_info_state,
     phi_p_scores,
 )
+from batchdesign import criteria
+from batchdesign.baselines import backward_select, exchange_select
 from batchdesign.criteria import info_state_from_m
-from batchdesign.errors import DimensionMismatch, SingularInformation
+from batchdesign.errors import (
+    DimensionMismatch,
+    FitDiverged,
+    PositivityRepairFailed,
+    SingularInformation,
+)
+from batchdesign.fitting import fit_logistic
+from batchdesign.measures import psg_measure
 
 from helpers import blend_phi, eta, gaussian_pool, phi_direct, random_feasible, tau
 
@@ -218,3 +227,26 @@ def test_tau_raises_when_both_probes_are_singular():
     X = np.eye(2)
     with pytest.raises(SingularInformation):
         tau(np.array([1.0, 1.0]), np.array([1.0, 1e-7]), X, CriterionSpec(p=1.0))
+
+
+def test_one_singularity_threshold_decides_everywhere(monkeypatch):
+    # the third column is 1e-3 of the others, so every information matrix
+    # here has an eigenvalue ratio near 1e-6: nonsingular at the default
+    # SINGULAR_RTOL, singular once it is raised to 1e-4
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal((60, 3)) * np.array([1.0, 1.0, 1e-3])
+    y = (rng.random(60) < 0.5).astype(float)
+    checks = {
+        "info_state_from_m": (lambda: info_state_from_m(Z.T @ Z, CriterionSpec(p=0.0)),
+                              SingularInformation),
+        "psg_measure": (lambda: psg_measure(np.arange(60.0), 1.0 / 20, Z), PositivityRepairFailed),
+        "backward_select": (lambda: backward_select(Z, 10), SingularInformation),
+        "exchange_select": (lambda: exchange_select(Z, 10), SingularInformation),
+        "fit_logistic": (lambda: fit_logistic(Z, y), FitDiverged),
+    }
+    for run, _ in checks.values():
+        run()
+    monkeypatch.setattr(criteria, "SINGULAR_RTOL", 1e-4)
+    for name, (run, err) in checks.items():
+        with pytest.raises(err):
+            run()

@@ -3,7 +3,8 @@ import importlib
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _layout_rows():
@@ -51,3 +52,15 @@ def test_readme_solver_config_and_constants_match_the_code():
     constants = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", text))
     assert {"SCREEN_FACTOR", "SCREEN_MISS", "INNER_TOL"} <= constants
     assert sorted(name for name in constants if not hasattr(solvers, name)) == []
+
+
+def test_ci_workflow_runs_the_tier1_command():
+    import yaml
+
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    job = workflow["jobs"]["tier1"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["env"]["OPENBLAS_NUM_THREADS"] == "1"
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs == ['pip install -e ".[test]"', tier1.group(1)]

@@ -13,7 +13,12 @@ from batchdesign import (
     sg_measure,
     trichotomy_check,
 )
-from batchdesign.errors import InfeasibleEpsilon, InfeasibleMass, PositivityRepairFailed
+from batchdesign.errors import (
+    DimensionMismatch,
+    InfeasibleEpsilon,
+    InfeasibleMass,
+    PositivityRepairFailed,
+)
 from batchdesign.measures import MASS_TOL, _greedy_linear_max, active_set_split
 
 from helpers import greedy_linear_max_sorted, project_capped_simplex_sorted, round_to_sample_lexsort
@@ -74,29 +79,27 @@ def test_sg_measure_maximizes_linear_objective(seed):
 def test_psg_repairs_singular_top_scores():
     X = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     scores = np.array([3.0, 2.0, 1.0])
-    fallback = Measure(np.array([1.0, 1.0, 1.0]) / 3.0, 0.5)
-    w = psg_measure(scores, 0.5, X, fallback)
+    w = psg_measure(scores, 0.5, X)
     M = (X * w.weights[:, None]).T @ X
     assert np.linalg.eigvalsh(M)[0] > 0
-    # the repair is a small blend toward the fallback
+    # the repair is a small blend toward the uniform weighting
     sg = sg_measure(scores, 0.5)
-    delta = w.weights[2] / fallback.weights[2]
+    uniform = np.ones(3) / 3.0
+    delta = w.weights[2] / uniform[2]
     assert 0 < delta <= 1e-2
-    assert np.allclose(w.weights, (1 - delta) * sg.weights + delta * fallback.weights)
+    assert np.allclose(w.weights, (1 - delta) * sg.weights + delta * uniform)
 
 
 def test_psg_keeps_plain_measure_when_already_pd():
     X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    fallback = Measure(np.ones(3) / 3.0, 0.5)
-    w = psg_measure(np.array([2.0, 1.0, 0.0]), 0.5, X, fallback)
+    w = psg_measure(np.array([2.0, 1.0, 0.0]), 0.5, X)
     assert np.allclose(w.weights, [0.5, 0.5, 0.0])
 
 
 def test_psg_gives_up_on_collinear_pool():
     X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    fallback = Measure(np.ones(3) / 3.0, 0.5)
     with pytest.raises(PositivityRepairFailed):
-        psg_measure(np.array([1.0, 2.0, 3.0]), 0.5, X, fallback)
+        psg_measure(np.array([1.0, 2.0, 3.0]), 0.5, X)
 
 
 def test_projection_frozen_example():
@@ -198,6 +201,21 @@ def test_round_to_sample_tie_breaks():
     assert round_to_sample(big, 2, np.zeros(4), pinned=[3]).indices == (1, 3)
     with pytest.raises(ValueError, match="exceed the budget"):
         round_to_sample(w, 1, np.zeros(4), pinned=[0, 1])
+
+
+def test_round_to_sample_takes_pins_as_a_mask_or_indices():
+    # the same pin check as solve_hybrid: a mask and its indices agree, and
+    # an index outside the pool or a mask of the wrong length is rejected
+    w = Measure(np.full(50, 1.0 / 50), 0.1)
+    scores = np.random.default_rng(3).standard_normal(50)
+    mask = np.zeros(50, dtype=bool)
+    mask[[4, 17, 31]] = True
+    by_mask = round_to_sample(w, 10, scores, pinned=mask)
+    assert by_mask == round_to_sample(w, 10, scores, pinned=[31, 4, 17])
+    assert {4, 17, 31} <= set(by_mask.indices) and len(by_mask) == 10
+    for bad in ([60], [-1], np.zeros(49, dtype=bool)):
+        with pytest.raises(DimensionMismatch):
+            round_to_sample(w, 10, scores, pinned=bad)
 
 
 @settings(max_examples=200)

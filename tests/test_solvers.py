@@ -247,6 +247,9 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
     count(solvers._evaluate, lambda out: 0)
     count(solvers._restricted, lambda out: 1)
     count(solvers._boost_once, lambda out: out[1] > 0.0)
+    # the start is the one positivity-repaired measure; refine rounds split
+    # against the evaluation's own steepest-gradient measure
+    count(solvers.psg_measure, lambda out: 0)
     # N = 5 / eps runs the whole-pool loop; N = 10 / eps is screened
     for N in (150, 300):
         calls.clear()
@@ -254,6 +257,7 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
         res = solve_hybrid(X, CriterionSpec(p=p), _cfg(1.0 / 30, v=1e-9))
         assert res.converged and res.iterations["refine"] >= 1
         assert res.iterations["refine"] == calls["_restricted"]
+        assert calls["psg_measure"] == 1
         if N == 150:
             assert res.working_set == N and res.iterations["screen"] == 0
             assert calls["_evaluate"] == calls["moves"] + 1 == len(res.trace)

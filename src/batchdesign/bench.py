@@ -71,6 +71,8 @@ def run_bench(atoms: AtomSet, n: int, solver_cfg: SolverConfig, p: float = 0.0,
     every method is certified against a relaxation solved at epsilon = 1/n
     to REFERENCE_GAP, whatever that config's epsilon.
     """
+    if time_budget is not None and not 0.0 <= time_budget < np.inf:
+        raise ValueError(f"time budget must be finite and >= 0, got {time_budget!r}")
     spec = CriterionSpec(p=p)
     N = len(atoms)
     w_ref = _solve_reference(atoms, spec, n)

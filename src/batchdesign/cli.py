@@ -358,6 +358,9 @@ def _bench_pool(args):
         Z, _, _ = _load_features(args)
         return AtomSet.from_vectors(Z), {"input": args.input}
     N, k = int(args.N), int(args.k)
+    for flag, value in (("--N", N), ("--k", k)):
+        if value < 1:
+            raise ParseError(f"{flag} {value} must be >= 1 for a synthetic pool")
     rng = np.random.default_rng(args.seed)
     return make_gaussian_pool(N, k, rng), {"synthetic": True, "N": N, "k": k}
 

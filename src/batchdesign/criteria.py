@@ -32,8 +32,6 @@ from .errors import DimensionMismatch, SingularInformation
 EIG_FLOOR = 1e-14
 # relative eigenvalue threshold below which M counts as singular
 SINGULAR_RTOL = 1e-12
-# step in alpha of the finite-difference curvature along a blend
-TAU_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,6 @@ class CriterionSpec:
                 raise ValueError("G must have full row rank")
             object.__setattr__(self, "G", G)
 
-    def q_for(self, k: int) -> int:
-        return k if self.G is None else self.G.shape[0]
-
 
 @dataclass(frozen=True)
 class InfoState:
@@ -69,7 +64,6 @@ class InfoState:
 
     M: np.ndarray
     M_inv: np.ndarray
-    Sigma: np.ndarray
     sigma_eigvals: np.ndarray
     sigma_eigvecs: np.ndarray
     phi_value: float
@@ -105,7 +99,6 @@ def info_state_from_m(M: np.ndarray, spec: CriterionSpec) -> InfoState:
     if spec.G is None:
         sig_lam = 1.0 / lam[::-1]
         sig_vec = V[:, ::-1]
-        Sigma = M_inv
     else:
         if spec.G.shape[1] != M.shape[0]:
             raise DimensionMismatch(
@@ -116,7 +109,7 @@ def info_state_from_m(M: np.ndarray, spec: CriterionSpec) -> InfoState:
         sig_lam, sig_vec = np.linalg.eigh(Sigma)
     sig_lam = np.maximum(sig_lam, EIG_FLOOR)
     phi = _phi_from_eigs(sig_lam, spec.p, sig_lam.shape[0])
-    return InfoState(M, M_inv, Sigma, sig_lam, sig_vec, phi, identity_g=spec.G is None)
+    return InfoState(M, M_inv, sig_lam, sig_vec, phi, identity_g=spec.G is None)
 
 
 def build_info_state(atoms, w, spec: CriterionSpec) -> InfoState:
@@ -162,24 +155,28 @@ def phi_p_scores(atoms, state: InfoState, spec: CriterionSpec) -> np.ndarray:
     return coef * aset.quad_forms(0.5 * (B + B.T))
 
 
-def _tau_blend(M0: np.ndarray, M1: np.ndarray, spec: CriterionSpec, phi0: float) -> float:
-    """Second derivative of the criterion along the blend (1 - alpha) M0 + alpha M1.
+def _blend_curvature(state: InfoState, M1: np.ndarray, spec: CriterionSpec) -> float:
+    """Second derivative at alpha = 0 of the criterion along (1 - alpha) M + alpha M1.
 
-    Central second difference with step TAU_STEP on alpha -> Phi_p; phi0 is
-    Phi_p(M0), which the caller already holds, so only the two probes are
-    factorized.  Clamped below at zero.  If a probe is singular the step is
-    reduced once by a factor of ten; if that probe is singular too, raises
-    SingularInformation.
+    In the Sigma eigenbasis, with C = M^-1 G^T V and D = M1 - M, Sigma moves by
+    A = -C^T D C and B = 2 C^T D M^-1 D C.  With Gamma the divided differences
+    of x^(p-1) on the eigenvalues (Daleckii-Krein), Tr(Sigma^p) / p (log det at
+    p = 0) has derivatives T1 = sum lam^(p-1) A_ii and T2 = sum lam^(p-1) B_ii +
+    sum Gamma_ij A_ij^2, so Phi_p'' = Phi_p (T2 / tr + (1 - p) (T1 / tr)^2) with
+    tr as in phi_p_scores.  Factorizes nothing; clamped at zero against roundoff.
     """
-    def value(alpha: float) -> float:
-        return info_state_from_m((1.0 - alpha) * M0 + alpha * M1, spec).phi_value
-
-    last_err = None
-    for step in (TAU_STEP, TAU_STEP / 10.0):
-        try:
-            second = (value(step) - 2.0 * phi0 + value(-step)) / (step * step)
-        except SingularInformation as err:
-            last_err = err
-            continue
-        return max(0.0, float(second))
-    raise SingularInformation(f"singular probe along the blend segment: {last_err}")
+    lam, V, p = state.sigma_eigvals, state.sigma_eigvecs, spec.p
+    C = state.M_inv @ (V if spec.G is None else spec.G.T @ V)
+    E = (M1 - state.M) @ C
+    A = -C.T @ E
+    b_diag = 2.0 * np.einsum("ij,ij->j", E, state.M_inv @ E)
+    # (hi^a - lo^a) / (hi - lo) as hi^(a-1) expm1(a t) / expm1(t), t = log(lo / hi),
+    # loses no digits near ties; at t = 0 it is the derivative a hi^(a-1)
+    a, lo, hi = p - 1.0, np.minimum.outer(lam, lam), np.maximum.outer(lam, lam)
+    t = np.log(lo / hi)
+    gamma = hi ** (a - 1.0) * np.divide(np.expm1(a * t), np.expm1(t),
+                                        out=np.full_like(t, a), where=t != 0.0)
+    tr = float(lam.shape[0]) if p == 0.0 else float(np.sum(lam**p))
+    t1 = float(lam**a @ np.diag(A)) / tr
+    t2 = float(lam**a @ b_diag + np.sum(gamma * A * A)) / tr
+    return max(0.0, state.phi_value * (t2 + (1.0 - p) * t1 * t1))

@@ -146,6 +146,8 @@ def bootstrap_evaluate(Z, y, model: str, methods, n: int, r_frac: float, p: floa
     method is dropped for all (paired comparison); more than 5% failures
     abort the run.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     y = np.asarray(y).ravel()
     methods = list(methods)

@@ -34,7 +34,7 @@ from .atoms import AtomSet, as_atom_set
 from .criteria import (
     CriterionSpec,
     InfoState,
-    _tau_blend,
+    _blend_curvature,
     build_info_state,
     info_state_from_m,
     phi_p_scores,
@@ -227,15 +227,9 @@ def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec) -> tu
     if eta_value >= -PHI_SLACK * (1.0 + abs(ev.state.phi_value)):
         return w, 0.0
     M_sg = aset.weighted_sum(ev.sg.weights)
-    try:
-        tau_value = _tau_blend(ev.state.M, M_sg, spec, ev.state.phi_value)
-    except SingularInformation:
-        # both curvature probes left the PD cone: the step cap and the
-        # halving line search below still bound the move
-        tau_value = 0.0
-    alpha = min(BOOST_STEP_CAP, max(0.0, -eta_value / (tau_value + BOOST_CURVATURE_REG)))
-    if alpha <= 0.0:
-        return w, 0.0
+    # eta < 0 and tau >= 0 here, so the step is positive
+    tau_value = _blend_curvature(ev.state, M_sg, spec)
+    alpha = min(BOOST_STEP_CAP, -eta_value / (tau_value + BOOST_CURVATURE_REG))
     phi0 = ev.state.phi_value
     for _ in range(21):
         try:

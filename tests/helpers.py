@@ -1,7 +1,7 @@
 """Shared test oracles, coded independently of the library internals.
 
-The exception is ``tau``: it runs criteria._tau_blend, the curvature the
-boost step uses, so the tests of ``tau`` test that code.
+The exception is ``tau``: it runs criteria._blend_curvature, the curvature
+the boost step uses, so the tests of ``tau`` test that code.
 """
 
 import csv
@@ -19,7 +19,7 @@ from batchdesign import (
     phi_p_scores,
     project_capped_simplex,
 )
-from batchdesign.criteria import _tau_blend, info_state_from_m
+from batchdesign.criteria import _blend_curvature, info_state_from_m
 from batchdesign.errors import SingularInformation
 from batchdesign.measures import MASS_TOL
 
@@ -166,11 +166,10 @@ def eta(w_prime, w, atoms, spec):
 
 def tau(w_prime, w, atoms, spec):
     """Second derivative of the criterion along the segment from w to w_prime,
-    by the boost step's finite difference on the blend of information matrices."""
+    by the boost step's closed form on the blend of information matrices."""
     aset = as_atom_set(atoms)
-    M0 = aset.weighted_sum(_weights(w))
-    M1 = aset.weighted_sum(_weights(w_prime))
-    return _tau_blend(M0, M1, spec, info_state_from_m(M0, spec).phi_value)
+    state = info_state_from_m(aset.weighted_sum(_weights(w)), spec)
+    return _blend_curvature(state, aset.weighted_sum(_weights(w_prime)), spec)
 
 
 def sigmoid(t):

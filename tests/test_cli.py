@@ -8,6 +8,7 @@ import pytest
 
 import batchdesign.bench as bench_mod
 import batchdesign.cli as cli_mod
+import batchdesign.pipeline as pipeline_mod
 from batchdesign.cli import main
 from batchdesign.reports import strip_volatile, validate_report
 
@@ -340,6 +341,34 @@ def test_bench_time_budget_decides_backward(tmp_path):
     assert notes["1e9"]["note"] == "" and 0.0 < notes["1e9"]["efficiency"] <= 1.0 + 1e-7
 
 
+def test_bench_time_budget_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the reference solve ran before the budget was checked")
+
+    monkeypatch.setattr(bench_mod, "_solve_reference", never)
+    argv = ["bench", "--N", "120", "--k", "3", "--n", "20", "--methods", "backward",
+            "--output-dir", str(tmp_path / "out")]
+    for budget in ("-1", "nan", "inf"):
+        assert main(argv + ["--time-budget", budget]) == 2, budget
+        assert "time budget must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_bad_synthetic_pool_exits_2(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a solve ran on a bad synthetic pool")
+
+    for name in ("run_bench", "run_cross_criteria"):
+        monkeypatch.setattr(cli_mod, name, never)
+    commands = {"bench": ["--n", "10"], "cross-criteria": ["--ns", "20"]}
+    for command, budget in commands.items():
+        for flag, value in (("--k", "0"), ("--k", "-1"), ("--N", "0"), ("--N", "-5")):
+            sizes = {"--N": "60", "--k": "3", flag: value}
+            argv = [command, *budget, "--output-dir", str(tmp_path / "out")]
+            argv += [tok for item in sizes.items() for tok in item]
+            assert main(argv) == 2, argv
+            assert f"{flag} {value} must be >= 1" in capsys.readouterr().err, argv
+
+
 def test_cross_criteria_table(tmp_path):
     out = tmp_path / "out"
     code = main(["cross-criteria", "--N", "60", "--k", "3", "--ns", "20,30",
@@ -401,6 +430,18 @@ def test_bootstrap_eval_command(labeled_csv, tmp_path):
         table = list(csv.DictReader(fh))
     assert [t["method"] for t in table] == ["two-stage", "random"]
     assert (out / "components.csv").exists()
+
+
+def test_bootstrap_eval_threads_below_one_exits_2(labeled_csv, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a model was fitted before --threads was checked")
+
+    monkeypatch.setattr(pipeline_mod, "_fit_model", never)
+    for threads in ("0", "-2"):
+        assert main(["bootstrap-eval", "--input", str(labeled_csv), "--response", "y",
+                     "--model", "logistic", "--n", "30", "--B", "2", "--threads", threads,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_bench_and_cross_criteria_accept_input(pool_csv, tmp_path):

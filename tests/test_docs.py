@@ -60,6 +60,9 @@ def test_ci_workflow_runs_the_tier1_command():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
     job = workflow["jobs"]["tier1"]
+    assert job["timeout-minutes"] == 20
+    assert workflow["concurrency"]["cancel-in-progress"] is True
+    assert "github.ref" in workflow["concurrency"]["group"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     assert job["env"]["OPENBLAS_NUM_THREADS"] == "1"
     runs = [step["run"] for step in job["steps"] if "run" in step]

@@ -21,9 +21,9 @@ from batchdesign import (
     solve_hybrid,
 )
 from batchdesign import solvers
-from batchdesign.errors import DimensionMismatch, InfeasibleEpsilon, SingularInformation
+from batchdesign.errors import DimensionMismatch, InfeasibleEpsilon
 
-from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible, tau
+from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible
 
 
 def _cfg(eps, **kw):
@@ -187,18 +187,32 @@ def test_boost_step_descends(rng):
     assert phi_after <= ev.state.phi_value + 1e-12
 
 
-def test_boost_step_with_singular_curvature_probes_takes_capped_step():
-    # w is nearly singular along e_2, so both curvature probes (alpha = -1e-4
-    # and -1e-5) leave the PD cone; tau = 0 makes the step the cap r
+def test_boost_step_from_near_singular_start_takes_newton_step():
+    # w is nearly singular along e_2; the exact curvature is large there, so
+    # the step -eta / tau is far below the cap r and already descends
     X = np.eye(2)
     spec = CriterionSpec(p=1.0)
     w = Measure(np.array([1.0 - 1e-7, 1e-7]), 1.0)
     sg = Measure(np.array([0.5, 0.5]), 1.0)
-    with pytest.raises(SingularInformation):
-        tau(sg, w, X, spec)
     w_next, alpha = _boost(w, sg, X, spec)
-    assert alpha == 0.25
-    assert np.allclose(w_next.weights, 0.75 * w.weights + 0.25 * sg.weights, rtol=1e-15)
+    assert 0.0 < alpha < solvers.BOOST_STEP_CAP
+    assert alpha == pytest.approx(1e-7, rel=1e-2)
+    assert build_info_state(X, w_next, spec).phi_value < build_info_state(X, w, spec).phi_value
+
+
+def test_boost_step_halves_a_step_that_would_increase_the_criterion(monkeypatch):
+    # with the curvature taken as zero the step is the cap r = 0.25, which
+    # overshoots; the halving guard brings it back to 0.03125
+    monkeypatch.setattr(solvers, "_blend_curvature", lambda state, M1, spec: 0.0)
+    X = np.eye(2)
+    spec = CriterionSpec(p=1.0)
+    w = Measure(np.array([0.51, 0.49]), 1.0)
+    aset = as_atom_set(X)
+    ev = solvers._evaluate(aset, w, spec)
+    w_next, alpha = solvers._boost_once(aset, w, ev, spec)
+    assert 0.0 < alpha < solvers.BOOST_STEP_CAP
+    assert alpha == 0.03125
+    assert build_info_state(X, w_next, spec).phi_value <= ev.state.phi_value
 
 
 def test_restricted_never_increases(rng):

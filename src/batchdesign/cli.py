@@ -446,8 +446,6 @@ def cmd_two_stage(args) -> int:
     Z, names, y = _labeled_data(args)
     n = _require_budget(args.n, Z.shape[0])
     r_frac = float(args.r)
-    if not 0 < r_frac <= 1:
-        raise ParseError(f"stage-one fraction r = {r_frac} must lie in (0, 1]")
     p = float(args.p)
     cfg = _solver_config(args, n)
     rng = np.random.default_rng(args.seed)
@@ -497,8 +495,6 @@ def cmd_bootstrap_eval(args) -> int:
     Z, names, y = _labeled_data(args)
     n = _require_budget(args.n, Z.shape[0])
     B = int(args.B)
-    if B < 1:
-        raise ParseError(f"B = {B} must be >= 1")
     r_frac = float(args.r)
     p = float(args.p)
     cfg = _solver_config(args, n)

@@ -1,10 +1,11 @@
 """Maximum-likelihood fitting of the working models.
 
-Newton-type iterations with the expected information as the curvature
-matrix (for logistic regression this coincides with the observed Hessian).
-Convergence means the max-norm of the score vector falls below tol;
-saturation, rank-deficient information, or iteration exhaustion raise
-FitDiverged.
+Both models run one Fisher-scoring loop: Newton-type steps with the expected
+information as the curvature matrix (for logistic regression this coincides
+with the observed Hessian), halved until the likelihood does not fall.
+Convergence means the max-norm of the score vector falls below FIT_TOL;
+saturation, rank-deficient information, divergence or FIT_MAX_ITER
+iterations without convergence raise FitDiverged.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from .errors import FitDiverged
 from .measures import _sorted_unique
 from .models import CumulativeLinkSpec, _sigmoid, cumlink_parts
 
-_PARAM_CAP = 1e8
+FIT_TOL = 1e-8        # max-norm of the score at convergence
+FIT_MAX_ITER = 100    # scoring iterations before FitDiverged
+_PARAM_CAP = 1e8      # any parameter beyond this counts as divergence
 
 
 @dataclass
@@ -41,17 +44,48 @@ class CumlinkFit:
         return CumulativeLinkSpec(self.beta, self.theta_cuts)
 
 
-def _solve_scoring(info: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(info)
-    if is_singular(lam):
-        raise FitDiverged(
-            f"information matrix is numerically singular (eig range "
-            f"[{lam[0]:.3e}, {lam[-1]:.3e}]); data may be separable or collinear")
-    return np.linalg.solve(info, grad)
+def _fisher_scoring(theta0: np.ndarray, evaluate, name: str):
+    """Fisher scoring from theta0 with step halving; returns (theta, loglik,
+    iterations).  evaluate(theta) gives the log-likelihood, the score, the
+    expected information and each row's probability of its observed
+    response; or None where some response has probability zero or theta
+    leaves the parameter space."""
+    theta, current = theta0, evaluate(theta0)
+    if current is None:
+        raise FitDiverged(f"initial {name} parameters give zero-probability responses")
+    for it in range(FIT_MAX_ITER):
+        ll, grad, info, own = current
+        if np.max(np.abs(grad)) <= FIT_TOL:
+            # a score this small with every probability saturated at its
+            # response means separation, not a finite maximum
+            if np.min(own) > 1.0 - 1e-6:
+                raise FitDiverged("fitted probabilities match the responses exactly; "
+                                  "data appear separated")
+            return theta, ll, it
+        lam = np.linalg.eigvalsh(info)
+        if is_singular(lam):
+            raise FitDiverged(
+                f"information matrix is numerically singular (eig range "
+                f"[{lam[0]:.3e}, {lam[-1]:.3e}]); data may be separable or collinear")
+        step = np.linalg.solve(info, grad)
+        scale = 1.0
+        for _ in range(40):
+            trial = theta + scale * step
+            current = evaluate(trial)
+            # a NaN log-likelihood fails the comparison too
+            if current is not None and current[0] >= ll - 1e-10:
+                break
+            scale *= 0.5
+        else:
+            raise FitDiverged(f"{name} step halving failed to improve the likelihood")
+        theta = trial
+        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > _PARAM_CAP:
+            raise FitDiverged(f"{name} parameters diverged")
+    raise FitDiverged(f"no convergence in {FIT_MAX_ITER} {name} scoring iterations")
 
 
-def fit_logistic(Z, y, tol: float = 1e-8, max_iter: int = 100) -> LogisticFit:
-    """Newton fit of binary logistic regression on the given design matrix."""
+def fit_logistic(Z, y) -> LogisticFit:
+    """Fisher-scoring (here Newton) fit of binary logistic regression."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != Z.shape[0]:
@@ -61,44 +95,20 @@ def fit_logistic(Z, y, tol: float = 1e-8, max_iter: int = 100) -> LogisticFit:
     if y.size == 0 or y.min() == y.max():
         raise FitDiverged("response is constant; no logistic fit exists")
 
-    beta = np.zeros(Z.shape[1])
-
-    def loglik(b: np.ndarray) -> float:
-        t = Z @ b
+    def evaluate(beta: np.ndarray):
+        t = Z @ beta
+        pr = _sigmoid(t)
+        resid = y - pr
         # log(1 + e^t) computed stably on both tails
-        return float(y @ t - np.sum(np.logaddexp(0.0, t)))
+        ll = float(y @ t - np.sum(np.logaddexp(0.0, t)))
+        info = (Z * (pr * (1.0 - pr))[:, None]).T @ Z
+        return ll, Z.T @ resid, info, 1.0 - np.abs(resid)
 
-    ll = loglik(beta)
-    for it in range(1, max_iter + 1):
-        pr = _sigmoid(Z @ beta)
-        grad = Z.T @ (y - pr)
-        if np.max(np.abs(grad)) <= tol:
-            # a gradient this small with every probability saturated at its
-            # response means separation, not a finite maximum
-            if np.max(np.abs(y - pr)) < 1e-6:
-                raise FitDiverged("fitted probabilities match the responses exactly; "
-                                  "data appear separated")
-            return LogisticFit(beta, ll, it - 1)
-        wz = pr * (1.0 - pr)
-        info = (Z * wz[:, None]).T @ Z
-        step = _solve_scoring(info, grad)
-        scale = 1.0
-        for _ in range(40):
-            cand = beta + scale * step
-            ll_cand = loglik(cand)
-            if np.isfinite(ll_cand) and ll_cand >= ll - 1e-10:
-                break
-            scale *= 0.5
-        else:
-            raise FitDiverged("logistic step halving failed to improve the likelihood")
-        beta = beta + scale * step
-        ll = loglik(beta)
-        if not np.all(np.isfinite(beta)) or np.max(np.abs(beta)) > _PARAM_CAP:
-            raise FitDiverged("logistic coefficients diverged")
-    raise FitDiverged(f"no convergence in {max_iter} Newton iterations")
+    beta, ll, it = _fisher_scoring(np.zeros(Z.shape[1]), evaluate, "logistic")
+    return LogisticFit(beta, ll, it)
 
 
-def fit_cumlink(Z, y, tol: float = 1e-8, max_iter: int = 100) -> CumlinkFit:
+def fit_cumlink(Z, y) -> CumlinkFit:
     """Fisher-scoring fit of the proportional-odds model.
 
     Categories are the sorted distinct response values; at least two must be
@@ -120,48 +130,19 @@ def fit_cumlink(Z, y, tol: float = 1e-8, max_iter: int = 100) -> CumlinkFit:
     cum = np.clip(cum, 1e-6, 1.0 - 1e-6)
     theta = np.log(cum / (1.0 - cum))
     theta = np.maximum.accumulate(theta + 1e-9 * np.arange(J - 1))
-    beta = np.zeros(d)
-
     rows = np.arange(N)
 
-    def parts(b: np.ndarray, th: np.ndarray):
-        return cumlink_parts(Z, CumulativeLinkSpec(b, th))
-
-    def loglik_from(pi: np.ndarray) -> float:
+    def evaluate(params: np.ndarray):
+        if not np.all(np.diff(params[d:]) > 0):
+            return None
+        pi, dpi = cumlink_parts(Z, CumulativeLinkSpec(params[:d], params[d:]))
         own = pi[rows, y_idx]
         if np.any(own <= 0):
-            return -np.inf
-        return float(np.sum(np.log(own)))
-
-    pi, dpi = parts(beta, theta)
-    ll = loglik_from(pi)
-    if not np.isfinite(ll):
-        raise FitDiverged("initial cutpoints give zero-probability categories")
-
-    for it in range(1, max_iter + 1):
-        own = pi[rows, y_idx]
+            return None
         grad = np.sum(dpi[rows, y_idx] / own[:, None], axis=0)
-        if np.max(np.abs(grad)) <= tol:
-            if np.min(own) > 1.0 - 1e-6:
-                raise FitDiverged("fitted probabilities match the responses exactly; "
-                                  "data appear separated")
-            return CumlinkFit(beta, theta, cats, ll, it - 1)
-        safe_pi = np.maximum(pi, 1e-300)
-        info = np.einsum("nj,nja,njb->ab", 1.0 / safe_pi, dpi, dpi)
-        step = _solve_scoring(info, grad)
-        scale = 1.0
-        for _ in range(40):
-            cand = np.concatenate([beta, theta]) + scale * step
-            b_c, th_c = cand[:d], cand[d:]
-            if np.all(np.diff(th_c) > 0):
-                pi_c, dpi_c = parts(b_c, th_c)
-                ll_c = loglik_from(pi_c)
-                if np.isfinite(ll_c) and ll_c >= ll - 1e-10:
-                    beta, theta, pi, dpi, ll = b_c, th_c, pi_c, dpi_c, ll_c
-                    break
-            scale *= 0.5
-        else:
-            raise FitDiverged("cumulative-link step halving failed to improve the likelihood")
-        if np.max(np.abs(np.concatenate([beta, theta]))) > _PARAM_CAP:
-            raise FitDiverged("cumulative-link parameters diverged")
-    raise FitDiverged(f"no convergence in {max_iter} scoring iterations")
+        info = np.einsum("nj,nja,njb->ab", 1.0 / np.maximum(pi, 1e-300), dpi, dpi)
+        return float(np.sum(np.log(own))), grad, info, own
+
+    params, ll, it = _fisher_scoring(np.concatenate([np.zeros(d), theta]), evaluate,
+                                     "cumulative-link")
+    return CumlinkFit(params[:d], params[d:], cats, ll, it)

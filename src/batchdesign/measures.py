@@ -34,9 +34,9 @@ class Measure:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
         eps = float(self.epsilon)
-        n = w.shape[0]
-        if w.ndim != 1 or n == 0:
+        if w.ndim != 1 or w.shape[0] == 0:
             raise ValueError("weights must be a nonempty vector")
+        n = w.shape[0]
         if not np.isfinite(eps) or eps <= 0:
             raise ValueError(f"epsilon must be positive, got {eps}")
         if n * eps < 1.0 - 1e-9:
@@ -250,6 +250,8 @@ def round_to_sample(w: Measure, n: int, scores, pinned=None) -> SampleSet:
     if need < 0:
         raise ValueError(f"{pinned.size} pinned points exceed the budget n = {n}")
     scores = np.asarray(scores, dtype=float)
+    if scores.shape != weights.shape:
+        raise DimensionMismatch(f"scores of shape {scores.shape} for a pool of {weights.shape[0]}")
     neg = -weights
     if pinned.size:
         neg = neg.copy()

@@ -32,6 +32,13 @@ def _fit_model(model: str, Z: np.ndarray, y: np.ndarray):
     raise ValueError(f"unknown model {model!r}; available: {MODEL_NAMES}")
 
 
+def _check_budget(n: int, N: int, r_frac: float) -> None:
+    if not 0 < n <= N:
+        raise ValueError(f"budget n = {n} outside (0, {N}]")
+    if not 0 < r_frac <= 1:
+        raise ValueError(f"stage-one fraction r = {r_frac} must lie in (0, 1]")
+
+
 def _atoms_for(model: str, Z: np.ndarray, fit):
     """Atoms at the fitted parameters, and the transform of interest: all
     coefficients for logistic, the regression block for cumulative-link."""
@@ -58,10 +65,7 @@ def two_stage_select(Z, y, model: str, n: int, r_frac: float, p: float,
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     y = np.asarray(y).ravel()
     N = Z.shape[0]
-    if not 0 < n <= N:
-        raise ValueError(f"budget n = {n} outside (0, {N}]")
-    if not 0 < r_frac <= 1:
-        raise ValueError("stage-one fraction must lie in (0, 1]")
+    _check_budget(n, N, r_frac)
     n1 = int(round(r_frac * n))
     n1 = min(max(n1, 1), n)
     stage1_idx = np.sort(rng.choice(N, size=n1, replace=False))
@@ -122,6 +126,9 @@ def _one_replicate(args):
                 # design must not pay for the same response twice, so the
                 # candidate pool is the distinct resampled records
                 uniq = _sorted_unique(rows)
+                if uniq.size < n:
+                    raise ValueError(f"a bootstrap replicate has {uniq.size} distinct records, "
+                                     f"fewer than the budget n = {n}")
                 ts = two_stage_select(Z[uniq], y[uniq], model, n, r_frac, p, cfg, rng)
                 pick = uniq[np.array(ts.combined.indices)]
                 fit = _fit_model(model, Z[pick], y[pick])
@@ -146,10 +153,13 @@ def bootstrap_evaluate(Z, y, model: str, methods, n: int, r_frac: float, p: floa
     method is dropped for all (paired comparison); more than 5% failures
     abort the run.
     """
+    if B < 1:
+        raise ValueError(f"B = {B} must be >= 1")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     y = np.asarray(y).ravel()
+    _check_budget(n, Z.shape[0], r_frac)
     methods = list(methods)
     ref_fit = _fit_model(model, Z, y)
     ref_beta = ref_fit.beta

@@ -432,16 +432,31 @@ def test_bootstrap_eval_command(labeled_csv, tmp_path):
     assert (out / "components.csv").exists()
 
 
-def test_bootstrap_eval_threads_below_one_exits_2(labeled_csv, tmp_path, monkeypatch, capsys):
+def test_pipeline_rules_checked_before_any_fit(labeled_csv, tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
-        raise AssertionError("a model was fitted before --threads was checked")
+        raise AssertionError("a model was fitted before the arguments were checked")
 
     monkeypatch.setattr(pipeline_mod, "_fit_model", never)
-    for threads in ("0", "-2"):
-        assert main(["bootstrap-eval", "--input", str(labeled_csv), "--response", "y",
-                     "--model", "logistic", "--n", "30", "--B", "2", "--threads", threads,
-                     "--output-dir", str(tmp_path / "out")]) == 2
-        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    base = ["--input", str(labeled_csv), "--response", "y", "--model", "logistic", "--n", "30",
+            "--output-dir", str(tmp_path / "out")]
+    for command, flag, value, message in (
+            ("bootstrap-eval", "--threads", "0", "threads must be >= 1, got 0"),
+            ("bootstrap-eval", "--threads", "-2", "threads must be >= 1, got -2"),
+            ("bootstrap-eval", "--B", "0", "B = 0 must be >= 1"),
+            ("bootstrap-eval", "--r", "0", "stage-one fraction r = 0.0 must lie in (0, 1]"),
+            ("two-stage", "--r", "1.5", "stage-one fraction r = 1.5 must lie in (0, 1]")):
+        assert main([command, *base, flag, value]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_bootstrap_eval_names_distinct_records_below_budget(labeled_csv, tmp_path, capsys):
+    # a resample of 150 records holds about 95 distinct ones, too few for n = 120
+    assert main(["bootstrap-eval", "--input", str(labeled_csv), "--response", "y",
+                 "--model", "logistic", "--n", "120", "--B", "1",
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "distinct records, fewer than the budget n = 120" in err
+    assert "outside (0," not in err
 
 
 def test_bench_and_cross_criteria_accept_input(pool_csv, tmp_path):

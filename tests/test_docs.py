@@ -43,15 +43,16 @@ def test_readme_v_defaults_match_parser():
 
 
 def test_readme_solver_config_and_constants_match_the_code():
-    from batchdesign import solvers
+    from batchdesign import fitting, solvers
 
     text = " ".join(README.read_text().split())
     sentence = text.split("`SolverConfig` holds what a caller chooses:", 1)[1].split(".", 1)[0]
     documented = re.findall(r"`([a-z_0-9]+)`", sentence)
     assert documented == [f.name for f in dataclasses.fields(solvers.SolverConfig)]
     constants = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", text))
-    assert {"SCREEN_FACTOR", "SCREEN_MISS", "INNER_TOL"} <= constants
-    assert sorted(name for name in constants if not hasattr(solvers, name)) == []
+    assert {"SCREEN_FACTOR", "SCREEN_MISS", "INNER_TOL", "FIT_TOL", "FIT_MAX_ITER"} <= constants
+    assert sorted(name for name in constants
+                  if not hasattr(solvers, name) and not hasattr(fitting, name)) == []
 
 
 def test_ci_workflow_runs_the_tier1_command():
@@ -66,4 +67,7 @@ def test_ci_workflow_runs_the_tier1_command():
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     assert job["env"]["OPENBLAS_NUM_THREADS"] == "1"
     runs = [step["run"] for step in job["steps"] if "run" in step]
-    assert runs == ['pip install -e ".[test]"', tier1.group(1)]
+    # the installed console script and the demo are run once, since the
+    # tests import from src/ and never start either
+    entry = "batchdesign --help\npython scripts/two_stage_demo.py --help\n"
+    assert runs == ['pip install -e ".[test]"', entry, tier1.group(1)]

@@ -34,6 +34,8 @@ def test_measure_validation():
         Measure(np.array([0.4, 0.4, 0.0]), 0.5)
     with pytest.raises(InfeasibleEpsilon):
         Measure(np.array([0.3, 0.3, 0.3]), 0.3)
+    with pytest.raises(ValueError, match="nonempty vector"):
+        Measure(np.array(1.0), 1.0)
     w = Measure(np.array([0.5, 0.5]), 0.5)
     with pytest.raises(ValueError):
         w.weights[0] = 0.2
@@ -197,6 +199,10 @@ def test_round_to_sample_tie_breaks():
         round_to_sample(w, 0, np.zeros(4))
     with pytest.raises(ValueError):
         round_to_sample(w, 5, np.zeros(4))
+    # a score vector of another length would break ties on the wrong entries
+    for bad in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(DimensionMismatch):
+            round_to_sample(w, 2, bad)
     # pinned points come first, even at the lowest weight
     assert round_to_sample(big, 2, np.zeros(4), pinned=[3]).indices == (1, 3)
     with pytest.raises(ValueError, match="exceed the budget"):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,7 +54,7 @@ def test_two_stage_cumlink(rng):
     assert res.solve.converged
 
 
-def test_two_stage_validation(rng):
+def test_two_stage_validation(rng, monkeypatch):
     Z, y = _logistic_data(rng, N=50)
     with pytest.raises(ValueError):
         two_stage_select(Z, y, "logistic", 0, 0.5, 1.0, _fast_cfg(), rng)
@@ -61,6 +64,12 @@ def test_two_stage_validation(rng):
         two_stage_select(Z, y, "logistic", 10, 0.0, 1.0, _fast_cfg(), rng)
     with pytest.raises(ValueError):
         two_stage_select(Z, y, "probit", 10, 0.5, 1.0, _fast_cfg(), rng)
+    # bootstrap_evaluate checks the same budget before its reference fit,
+    # which here would call None
+    monkeypatch.setattr(pipeline, "_fit_model", None)
+    with pytest.raises(ValueError, match=r"budget n = 51 outside \(0, 50\]"):
+        bootstrap_evaluate(Z, y, "logistic", ["random"], 51, 0.5, 1.0, B=2, cfg=_fast_cfg(),
+                           seed=0)
 
 
 def test_bootstrap_deterministic_and_shaped(rng):
@@ -117,3 +126,16 @@ def test_ratio_requires_random_baseline():
         replicates=3, used_replicates=3, failed_replicates=0)
     with pytest.raises(ValueError):
         res.ratio_to_random("two-stage")
+
+
+def test_two_stage_demo_script_runs(capsys):
+    # the demo calls bootstrap_evaluate and SolverConfig directly, so a
+    # signature change there breaks it; run its main at toy size
+    path = Path(__file__).resolve().parents[1] / "scripts" / "two_stage_demo.py"
+    spec = importlib.util.spec_from_file_location("two_stage_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main(["--N", "300", "--k", "3", "--n", "60", "--B", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("N=300 k=3 n=60 r=0.4 B=2")
+    assert [line.split()[0] for line in lines[2:]] == ["two-stage", "random"]

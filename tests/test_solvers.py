@@ -462,6 +462,23 @@ def test_undersized_working_set_falls_back_to_the_whole_pool(monkeypatch):
     _assert_full_pool_result(X, res, spec, cfg.v)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_singular_working_set_falls_back_to_the_whole_pool(p):
+    # the 500 best-scored points lie on a circle in the (x1, x2) plane, so the
+    # working set spans two of three directions and its start cannot be made
+    # positive definite; the screen gives up before it counts an iteration
+    angle = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
+    circle = np.column_stack([10.0 * np.cos(angle), 10.0 * np.sin(angle), np.zeros(1000)])
+    axis = np.zeros((4000, 3))
+    axis[:, 2] = np.repeat([1.0, -1.0], 2000)
+    X = np.vstack([circle, axis])
+    spec, cfg = CriterionSpec(p=p), _cfg(1.0 / 100)
+    res = solve_hybrid(X, spec, cfg)
+    assert res.working_set == 5000 and res.iterations["screen"] == 0
+    assert res.converged
+    _assert_same_solve(res, _whole_pool(X, spec, cfg))
+
+
 @pytest.mark.parametrize("N, n", [(150, 30), (3000, 600), (151, 30)])
 def test_whole_pool_up_to_five_over_epsilon(N, n):
     # 5 / eps lands on N exactly in floating point for both caps; such a pool

@@ -11,14 +11,16 @@ refit coefficients from the full-data fit.  Example:
 """
 
 import argparse
+import sys
 
 import numpy as np
 
+from batchdesign.cli import EXIT_OK, RUN_ERRORS, report_error
 from batchdesign.pipeline import bootstrap_evaluate
 from batchdesign.solvers import SolverConfig
 
 
-def main(argv=None):
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--N", type=int, default=2000, help="pool size")
@@ -38,10 +40,13 @@ def main(argv=None):
     beta_true = rng.uniform(-0.8, 0.8, args.k)
     y = (rng.random(args.N) < 1.0 / (1.0 + np.exp(-(Z @ beta_true)))).astype(int)
 
-    boot = bootstrap_evaluate(Z, y, "logistic", ("two-stage", "random"),
-                              n=args.n, r_frac=args.r, p=args.p, B=args.B,
-                              cfg=SolverConfig(v0=1e-2, v=min(args.v, 1e-2)),
-                              seed=args.seed)
+    try:
+        boot = bootstrap_evaluate(Z, y, "logistic", ("two-stage", "random"),
+                                  n=args.n, r_frac=args.r, p=args.p, B=args.B,
+                                  cfg=SolverConfig(v0=1e-2, v=min(args.v, 1e-2)),
+                                  seed=args.seed)
+    except RUN_ERRORS as exc:  # exits as the batchdesign command would
+        return report_error(exc)
 
     print(f"N={args.N} k={args.k} n={args.n} r={args.r} B={args.B} "
           f"(used {boot.used_replicates})")
@@ -49,7 +54,8 @@ def main(argv=None):
     for m in boot.methods:
         ratio = boot.ratio_to_random(m.name)
         print(f"{m.name:<10} {m.total_mse:>12.6f} {ratio:>10.4f} {m.failures:>9}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

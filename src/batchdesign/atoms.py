@@ -3,11 +3,16 @@
 A design point contributes either a rank-one term x x^T (stored as the vector
 x) or a full symmetric PSD matrix when the per-point information has higher
 rank (e.g. multi-category responses).  ``AtomSet`` keeps a whole pool in one
-ndarray so that reductions over the pool stay vectorized; it is the only atom
-type, and a single atom is a row (or slice) of its ``data``.
+ndarray, one row per atom, so that reductions over the pool stay vectorized;
+it is the only atom type.  A matrix atom's row is its upper triangle, the
+k(k+1)/2 entries in ``np.triu_indices(k)`` order, so that assembly and scores
+are single matrix-vector products over the pool; ``data`` unpacks the pool
+into (N, k, k) on each access.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +46,29 @@ def _tile_rows(k: int) -> int:
     return max(TILE_ROWS, TILE_BYTES // (8 * max(k, 1)))  # k = 0: no columns
 
 
+@lru_cache(maxsize=None)
+def _triu(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packing of a k x k matrix's upper triangle, in np.triu_indices(k) order.
+
+    Returns the flat (row-major) positions of the entries (i, j), i <= j,
+    those of their mirrors (j, i), and the packed positions of the diagonal.
+    """
+    iu, ju = np.triu_indices(k)
+    upper, lower, diag = iu * k + ju, ju * k + iu, np.flatnonzero(iu == ju)
+    for a in (upper, lower, diag):
+        a.setflags(write=False)
+    return upper, lower, diag
+
+
+def _unpack(packed: np.ndarray, k: int) -> np.ndarray:
+    """Symmetric (..., k, k) matrices from their packed upper triangles."""
+    upper, lower, _ = _triu(k)
+    out = np.empty(packed.shape[:-1] + (k * k,))
+    out[..., upper] = packed
+    out[..., lower] = packed
+    return out.reshape(packed.shape[:-1] + (k, k))
+
+
 def _check_finite(data) -> np.ndarray:
     data = np.atleast_1d(np.asarray(data, dtype=float))
     if not np.isfinite(data).all():
@@ -50,13 +78,14 @@ def _check_finite(data) -> np.ndarray:
 
 
 class AtomSet:
-    """Homogeneous pool of atoms backed by a single array.
+    """Homogeneous pool of atoms backed by a single array of rows.
 
-    kind == "vector": data has shape (N, k), atom i contributes x_i x_i^T.
-    kind == "matrix": data has shape (N, k, k), symmetric PSD slices.
+    kind == "vector": rows has shape (N, k), atom i contributes x_i x_i^T.
+    kind == "matrix": rows has shape (N, k(k+1)/2), the upper triangle of
+    symmetric PSD atom i; ``data`` gives the (N, k, k) matrices.
     """
 
-    __slots__ = ("kind", "data", "k")
+    __slots__ = ("kind", "rows", "k")
 
     def __init__(self, kind: str, data: np.ndarray, *, validate: bool = True):
         if kind not in ("vector", "matrix"):
@@ -65,15 +94,20 @@ class AtomSet:
         if kind == "vector":
             if data.ndim != 2:
                 raise DimensionMismatch("vector atom pool must have shape (N, k)")
+            rows = data
         else:
             if data.ndim != 3 or data.shape[1] != data.shape[2]:
                 raise DimensionMismatch("matrix atom pool must have shape (N, k, k)")
-            data = 0.5 * (data + np.swapaxes(data, 1, 2))
-            if validate and len(data):
-                _check_psd_stack(data)
+            # the entries of 0.5 (A + A^T), the same bits as symmetrizing in full
+            k = data.shape[1]
+            sym = (data + np.swapaxes(data, 1, 2)).reshape(len(data), k * k)
+            rows = np.take(sym, _triu(k)[0], axis=1)
+            rows *= 0.5
         self.kind = kind
-        self.data = data
+        self.rows = rows
         self.k = data.shape[1]
+        if kind == "matrix" and validate and len(rows):
+            _check_psd_stack(self.data)
 
     # A pool enters through these two constructors, which reject NaN and
     # infinite entries whatever ``validate`` says; subset() skips the check.
@@ -85,57 +119,71 @@ class AtomSet:
     def from_matrices(cls, mats, *, validate: bool = True) -> "AtomSet":
         return cls("matrix", _check_finite(mats), validate=validate)
 
+    @property
+    def data(self) -> np.ndarray:
+        """The atoms as an (N, k) array of vectors or a fresh (N, k, k) array of matrices."""
+        return self.rows if self.kind == "vector" else _unpack(self.rows, self.k)
+
     def __len__(self) -> int:
-        return self.data.shape[0]
+        return self.rows.shape[0]
 
     def subset(self, idx) -> "AtomSet":
-        return AtomSet(self.kind, self.data[idx], validate=False)
+        sub = object.__new__(AtomSet)
+        sub.kind, sub.rows, sub.k = self.kind, self.rows[idx], self.k
+        return sub
 
     def weighted_sum(self, w) -> np.ndarray:
         """Sum of w_i * atom_i as a (k, k) symmetric matrix.
 
         Sparse weight vectors (e.g. steepest-gradient measures) are reduced
-        over their support only.  A vector pool (or its support) is streamed
-        through row tiles of TILE_BYTES.
+        over their support only.  A matrix pool (or its support) is one
+        product w @ rows; a vector pool is streamed through row tiles of
+        TILE_BYTES.
         """
         w = np.asarray(w, dtype=float)
         if w.shape[0] != len(self):
             raise DimensionMismatch(f"{w.shape[0]} weights for {len(self)} atoms")
-        nz = np.flatnonzero(w)
-        sparse = nz.size < 0.5 * len(self)
-        data, w = (self.data[nz], w[nz]) if sparse else (self.data, w)
+        rows = self.rows
+        if np.count_nonzero(w) < 0.5 * len(self):
+            nz = np.flatnonzero(w)
+            rows, w = rows[nz], w[nz]
         if self.kind == "matrix":
-            M = np.tensordot(w, data, axes=(0, 0))
-        else:
-            M = np.zeros((self.k, self.k))
-            rows = _tile_rows(self.k)
-            buf = np.empty((min(rows, len(data)), self.k))
-            for s in range(0, len(data), rows):
-                x = data[s:s + rows]
-                t = buf[:len(x)]
-                np.multiply(x, w[s:s + rows, None], out=t)
-                M += t.T @ x
+            return _unpack(w @ rows, self.k)
+        M = np.zeros((self.k, self.k))
+        step = _tile_rows(self.k)
+        buf = np.empty((min(step, len(rows)), self.k))
+        for s in range(0, len(rows), step):
+            x = rows[s:s + step]
+            t = buf[:len(x)]
+            np.multiply(x, w[s:s + step, None], out=t)
+            M += t.T @ x
         return 0.5 * (M + M.T)
 
     def quad_forms(self, B: np.ndarray) -> np.ndarray:
-        """Per-atom values of Tr(B @ atom_i) for a symmetric (k, k) matrix B.
+        """Per-atom values of Tr(B @ atom_i) for a (k, k) matrix B.
 
-        A vector pool is streamed through row tiles of TILE_BYTES: each tile's
-        product with B is reduced against the tile while both are in cache.
+        A matrix pool is one product rows @ b, where b packs B with its
+        off-diagonal pairs summed, b_ij = B_ij + B_ji.  A vector pool is
+        streamed through row tiles of TILE_BYTES: each tile's product with B
+        is reduced against the tile while both are in cache.
         """
         if B.shape != (self.k, self.k):
             raise DimensionMismatch("B must be (k, k)")
-        data = self.data
+        rows = self.rows
         if self.kind == "matrix":
-            return np.tensordot(data, B, axes=([1, 2], [0, 1]))
-        out = np.empty(len(data))
-        rows = _tile_rows(self.k)
-        buf = np.empty((min(rows, len(data)), self.k))
-        for s in range(0, len(data), rows):
-            x = data[s:s + rows]
+            upper, lower, diag = _triu(self.k)
+            flat = B.ravel()
+            b = flat[upper] + flat[lower]
+            b[diag] *= 0.5
+            return rows @ b
+        out = np.empty(len(rows))
+        step = _tile_rows(self.k)
+        buf = np.empty((min(step, len(rows)), self.k))
+        for s in range(0, len(rows), step):
+            x = rows[s:s + step]
             t = buf[:len(x)]
             np.matmul(x, B, out=t)
-            np.einsum("ni,ni->n", t, x, out=out[s:s + rows])
+            np.einsum("ni,ni->n", t, x, out=out[s:s + step])
         return out
 
 

@@ -545,22 +545,31 @@ _HANDLERS = {
 }
 
 
+# every error a run reports with an exit code instead of a traceback
+RUN_ERRORS = (DesignError, OSError, ValueError)
+
+
+def report_error(exc: Exception) -> int:
+    """Print the one ``error:`` line for a failed run and return its exit code."""
+    if isinstance(exc, (ParseError, EmptyInput, NonFiniteAtom, OSError, ValueError)):
+        code, message = EXIT_INPUT, str(exc)
+    elif isinstance(exc, FitDiverged):
+        code = EXIT_FIT
+        message = f"model fit failed: {exc} (a larger stage-one fraction may help)"
+    else:  # every other library error: a singular or degenerate instance
+        code, message = EXIT_DEGENERATE, f"{type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config:
             args = build_parser(_load_config(args)).parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (ParseError, EmptyInput, NonFiniteAtom, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FitDiverged as exc:
-        print(f"error: model fit failed: {exc} (a larger stage-one fraction may help)",
-              file=sys.stderr)
-        return EXIT_FIT
-    except DesignError as exc:  # every other library error: a singular or degenerate instance
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    except RUN_ERRORS as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":

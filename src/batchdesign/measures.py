@@ -21,7 +21,19 @@ SUM_TOL = 1e-10         # allowed deviation of the total mass from one
 ZERO_BAND = 1e-9        # |w_i| below this counts as "at zero"
 CAP_BAND = 1e-9         # |w_i - eps| below this counts as "at the cap"
 MASS_TOL = 1e-12        # projection accuracy on the total mass
+# N * eps may fall short of one by the rounding of eps = 1/n and of the product
+CAPACITY_TOL = 4 * np.finfo(float).eps
 _PROJ_MAX_ITERS = 200   # Newton/bisection steps of the projection (5-12 in practice)
+
+
+def _check_capacity(N: int, epsilon: float) -> None:
+    """Raise InfeasibleEpsilon unless N weights capped at epsilon can sum to one.
+
+    The one feasibility rule: N * epsilon >= 1 up to CAPACITY_TOL, which
+    admits epsilon = 1/N in floating point and nothing short of it.
+    """
+    if N * epsilon < 1.0 - CAPACITY_TOL:
+        raise InfeasibleEpsilon(f"N * epsilon = {N * epsilon!r} < 1")
 
 
 @dataclass(frozen=True)
@@ -39,8 +51,7 @@ class Measure:
         n = w.shape[0]
         if not np.isfinite(eps) or eps <= 0:
             raise ValueError(f"epsilon must be positive, got {eps}")
-        if n * eps < 1.0 - 1e-9:
-            raise InfeasibleEpsilon(f"N * epsilon = {n * eps:.6g} < 1")
+        _check_capacity(n, eps)
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if w.min() < -CAP_SLACK or w.max() > eps + CAP_SLACK:
@@ -80,14 +91,15 @@ def _greedy_linear_max(scores: np.ndarray, epsilon: float, mass: float) -> np.nd
     """Maximize sum u_i * scores_i over 0 <= u <= eps, sum u = mass.
 
     Fills the cap greedily by descending score, ties broken by ascending
-    index; the leftover mass lands on the next-ranked point.  Only the
-    points that receive mass are ranked: a partition finds the threshold
-    score, every point above it is taken, then the tied points in index
-    order, and just those candidates are sorted.
+    index; the leftover mass lands on the next-ranked point.  Nothing is
+    sorted: a partition finds the threshold score of the last point that
+    receives mass, every point above it is taken, then the tied points in
+    index order, and the last tied point taken is the one ranked last.
     """
     n = scores.shape[0]
-    full = int(np.floor(mass / epsilon + 1e-9))
-    full = min(full, n)
+    full = min(int(np.floor(mass / epsilon + 1e-9)), n)
+    if full * epsilon > mass + MASS_TOL:  # the slack rounded mass / epsilon up past it
+        full -= 1
     resid = mass - full * epsilon
     need = min(full + (resid > MASS_TOL), n)
     u = np.zeros(n)
@@ -95,13 +107,11 @@ def _greedy_linear_max(scores: np.ndarray, epsilon: float, mass: float) -> np.nd
         return u
     neg = -scores
     threshold = np.partition(neg, need - 1)[need - 1]
-    above = np.flatnonzero(neg < threshold)
-    tied = np.flatnonzero(neg == threshold)[: need - above.size]
-    cand = np.sort(np.concatenate((above, tied)))
-    order = cand[np.argsort(neg[cand], kind="stable")]
-    u[order[:full]] = epsilon
-    if resid > MASS_TOL:
-        u[order[full]] = resid
+    u[neg < threshold] = epsilon
+    tied = np.flatnonzero(neg == threshold)[: need - np.count_nonzero(u)]
+    u[tied] = epsilon
+    if need > full:
+        u[tied[-1]] = resid
     return u
 
 
@@ -114,9 +124,7 @@ def sg_measure(scores, epsilon: float) -> Measure:
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    n = scores.shape[0]
-    if n * epsilon < 1.0 - 1e-9:
-        raise InfeasibleEpsilon(f"N * epsilon = {n * epsilon:.6g} < 1")
+    _check_capacity(scores.shape[0], epsilon)
     return Measure(_greedy_linear_max(scores, float(epsilon), 1.0), epsilon)
 
 

@@ -43,6 +43,7 @@ from .errors import InfeasibleEpsilon, PositivityRepairFailed, SingularInformati
 from .measures import (
     CAP_SLACK,
     Measure,
+    _check_capacity,
     _check_pinned,
     _greedy_linear_max,
     _sorted_unique,
@@ -476,8 +477,7 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     # cap near the float limit overflows the capped-simplex projection
     eps = min(float(cfg.epsilon), 1.0)
     N = len(aset)
-    if N * eps < 1.0 - 1e-9:
-        raise InfeasibleEpsilon(f"N * epsilon = {N * eps:.6g} < 1")
+    _check_capacity(N, eps)
     pinned = _check_pinned(pinned, N)
     if pinned is not None and pinned.size * eps > 1.0 + 1e-9:
         raise InfeasibleEpsilon("pinned points alone exceed total mass one")

@@ -111,6 +111,19 @@ def weighted_sum_loop(X, w):
     return M
 
 
+def matrix_quad_forms_loop(A, B):
+    """Reference for AtomSet.quad_forms on matrix atoms: Tr(B A_i) by einsum, atom by atom."""
+    return np.array([np.einsum("ij,ji->", B, a) for a in A])
+
+
+def matrix_weighted_sum_loop(A, w):
+    """Reference for AtomSet.weighted_sum on matrix atoms: sum of w_i A_i."""
+    M = np.zeros(A.shape[1:])
+    for wi, a in zip(w, A):
+        M += wi * a
+    return M
+
+
 def phi_of_subset(atoms, idx, spec):
     w = measure_of_sample(SampleSet(tuple(int(i) for i in idx)), len(atoms))
     try:

@@ -9,7 +9,12 @@ import batchdesign.atoms as atoms_mod
 from batchdesign import AtomSet, CriterionSpec, SolverConfig, as_atom_set, solve_hybrid
 from batchdesign.errors import DimensionMismatch, NonFiniteAtom, NotPSD
 
-from helpers import quad_forms_loop, weighted_sum_loop
+from helpers import (
+    matrix_quad_forms_loop,
+    matrix_weighted_sum_loop,
+    quad_forms_loop,
+    weighted_sum_loop,
+)
 
 
 def test_matrix_atom_symmetrized_and_psd_checked():
@@ -111,6 +116,59 @@ def test_vector_kernels_allocate_no_pool_sized_temporary(rng):
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes / 8
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+@given(N=st.integers(1, 14), sparse=st.booleans(), pick=st.sampled_from(["mask", "index", "slice"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_matrix_kernels_match_loop(k, N, sparse, pick, seed):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((N, k, k))
+    skew = rng.standard_normal((N, k, k))
+    # PSD plus a skew part, which symmetrizing removes
+    raw = F @ np.swapaxes(F, 1, 2) + (skew - np.swapaxes(skew, 1, 2))
+    sym = 0.5 * (raw + np.swapaxes(raw, 1, 2))
+    aset = AtomSet.from_matrices(raw)
+    assert aset.rows.shape == (N, k * (k + 1) // 2)
+    assert np.array_equal(aset.data, sym)
+    idx = {"mask": rng.random(N) < 0.5,
+           "index": rng.integers(0, N, size=int(rng.integers(1, N + 1))),
+           "slice": slice(int(rng.integers(0, N)), None, int(rng.integers(1, 3)))}[pick]
+    sub = aset.subset(idx)
+    A = sym[idx]
+    assert (sub.kind, sub.k, len(sub)) == ("matrix", k, len(A))
+    assert np.array_equal(sub.data, A)
+    B = rng.standard_normal((k, k))  # not symmetric
+    # zeros and negative weights; fewer than half nonzero takes the sparse branch
+    w = np.zeros(len(A))
+    support = rng.permutation(len(A))[: (len(A) - 1) // 2 if sparse else len(A) - len(A) // 4]
+    w[support] = rng.standard_normal(support.size)
+    q, M = sub.quad_forms(B), sub.weighted_sum(w)
+    assert np.array_equal(M, M.T)
+    # the loop on absolute values bounds every term, so cancellation is allowed for
+    scale_q = matrix_quad_forms_loop(np.abs(A), np.abs(B))
+    scale_M = matrix_weighted_sum_loop(np.abs(A), np.abs(w))
+    np.testing.assert_allclose(q, matrix_quad_forms_loop(A, B), rtol=1e-12,
+                               atol=1e-12 * scale_q.max(initial=0.0))
+    np.testing.assert_allclose(M, matrix_weighted_sum_loop(A, w), rtol=1e-12,
+                               atol=1e-12 * scale_M.max())
+
+
+def test_matrix_kernels_allocate_no_pool_sized_temporary(rng):
+    N, k = 20_000, 9
+    F = rng.standard_normal((N, k, 2))
+    aset = AtomSet.from_matrices(F @ np.swapaxes(F, 1, 2), validate=False)
+    B = np.eye(k) + 0.1
+    w = rng.random(N)
+    for kernel in (lambda: aset.quad_forms(B), lambda: aset.weighted_sum(w)):
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an (N, k, k) array would be 81 / 45 of the stored rows
+        assert peak < aset.rows.nbytes / 8
 
 
 def test_subset_and_iteration(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -71,3 +72,34 @@ def test_ci_workflow_runs_the_tier1_command():
     # tests import from src/ and never start either
     entry = "batchdesign --help\npython scripts/two_stage_demo.py --help\n"
     assert runs == ['pip install -e ".[test]"', entry, tier1.group(1)]
+
+
+def _paired_runs(node):
+    """Every run record in a BENCH_*.json: an object with "parent" and "change" sides."""
+    if isinstance(node, dict):
+        if "parent" in node and "change" in node:
+            yield node
+        else:
+            for value in node.values():
+                yield from _paired_runs(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _paired_runs(value)
+
+
+def test_bench_records_are_well_formed():
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        for key in ("change", "parent_commit", "command", "env"):
+            assert record.get(key), f"{path.name}: no {key}"
+        assert record["env"]["OPENBLAS_NUM_THREADS"] == "1", path.name
+        runs = list(_paired_runs({k: v for k, v in record.items() if k != "env"}))
+        assert runs, f"{path.name}: no paired runs"
+        for run in runs:
+            assert run["first"] in ("parent", "change"), path.name
+            sides = [run["parent"], run["change"]]
+            for side in sides:
+                assert side["correct"] is True and side["failed"] == 0, path.name
+            assert sides[0]["metrics"].keys() == sides[1]["metrics"].keys(), path.name

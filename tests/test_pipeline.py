@@ -128,14 +128,27 @@ def test_ratio_requires_random_baseline():
         res.ratio_to_random("two-stage")
 
 
-def test_two_stage_demo_script_runs(capsys):
-    # the demo calls bootstrap_evaluate and SolverConfig directly, so a
-    # signature change there breaks it; run its main at toy size
+def _load_demo():
     path = Path(__file__).resolve().parents[1] / "scripts" / "two_stage_demo.py"
     spec = importlib.util.spec_from_file_location("two_stage_demo", path)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
-    demo.main(["--N", "300", "--k", "3", "--n", "60", "--B", "2"])
+    return demo
+
+
+def test_two_stage_demo_script_runs(capsys):
+    # the demo calls bootstrap_evaluate and SolverConfig directly, so a
+    # signature change there breaks it; run its main at toy size
+    assert _load_demo().main(["--N", "300", "--k", "3", "--n", "60", "--B", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("N=300 k=3 n=60 r=0.4 B=2")
     assert [line.split()[0] for line in lines[2:]] == ["two-stage", "random"]
+
+
+def test_two_stage_demo_failure_exits_with_the_cli_code(capsys):
+    # at the default k = 9 every replicate of this toy size fails to fit
+    assert _load_demo().main(["--N", "300", "--n", "60", "--B", "2"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: model fit failed")
+    assert "Traceback" not in err

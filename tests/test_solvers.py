@@ -144,6 +144,41 @@ def test_pinned_solution_optimal_among_constrained(rng):
         assert phi * (1.0 + 1e-9) >= res.phi_value * (1.0 - max(res.gap_ratio, 0.0))
 
 
+@pytest.mark.parametrize("N", [3, 1000])
+@pytest.mark.parametrize("short", [1e-10, 1e-13])
+def test_capacity_just_short_of_one_raises_typed_error(N, short):
+    # one feasibility rule for the measure, the steepest-gradient fill and the solver
+    eps = (1.0 - short) / N
+    assert N * eps < 1.0
+    with pytest.raises(InfeasibleEpsilon):
+        Measure(np.full(N, 1.0 / N), eps)
+    with pytest.raises(InfeasibleEpsilon):
+        sg_measure(np.arange(float(N)), eps)
+    with pytest.raises(InfeasibleEpsilon):
+        solve_hybrid(gaussian_pool(np.random.default_rng(N), N, 2), CriterionSpec(p=0.0), _cfg(eps))
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_capacity_just_above_one_solves(N):
+    # mass / eps = N (1 - 1e-10) must not count as N points at the cap
+    eps = (1.0 + 1e-10) / N
+    w = sg_measure(np.arange(float(N)), eps)
+    assert abs(float(w.weights.sum()) - 1.0) <= 1e-15 * N
+    assert np.count_nonzero(w.weights == eps) == N - 1
+    res = solve_hybrid(gaussian_pool(np.random.default_rng(N), N, 2), CriterionSpec(p=0.0), _cfg(eps))
+    assert res.converged
+
+
+@pytest.mark.parametrize("N", [49, 98])
+def test_epsilon_one_over_pool_size_solves_when_the_product_rounds_low(N):
+    eps = 1.0 / N
+    assert N * eps < 1.0
+    assert np.array_equal(sg_measure(np.arange(float(N)), eps).weights, np.full(N, eps))
+    res = solve_hybrid(gaussian_pool(np.random.default_rng(N), N, 2), CriterionSpec(p=0.0), _cfg(eps))
+    assert res.converged
+    assert np.allclose(res.w.weights, eps, rtol=0.0, atol=1e-15)
+
+
 def test_infeasible_epsilon_raises(rng):
     X = gaussian_pool(rng, 5, 2)
     with pytest.raises(InfeasibleEpsilon):

@@ -254,10 +254,21 @@ def _solve_for_sample(args, atoms: AtomSet, G, n: int):
 
 
 def _solve_counts(res) -> dict:
-    """The report results that show how a solve went: iterations and working-set size."""
+    """The report results that show how a solve went: iterations, cap hits and working-set size."""
     return {"iterations": {k: int(v) for k, v in res.iterations.items()},
             "inner_iterations": int(res.inner_iterations),
+            "inner_cap_hits": int(res.inner_cap_hits),
             "working_set": int(res.working_set)}
+
+
+def _solve_exit(res, cfg: SolverConfig) -> int:
+    """EXIT_OK for a converged solve; otherwise one ``warning:`` line on why, and exit 4."""
+    if res.converged:
+        return EXIT_OK
+    print(f"warning: the solve stopped at gap_ratio {res.gap_ratio:.3e} above the target "
+          f"{cfg.target_gap:.3e} after {res.iterations['refine']} refine rounds, with "
+          f"{res.inner_cap_hits} inner cap hits", file=sys.stderr)
+    return EXIT_NONCONVERGED
 
 
 def cmd_select(args) -> int:
@@ -294,7 +305,7 @@ def cmd_select(args) -> int:
     )
     print(f"selected {n} of {len(atoms)} points; gap_ratio {res.gap_ratio:.3e}; "
           f"certified efficiency >= {bounds.certified_lower_bound:.6f}")
-    return EXIT_OK if res.converged else EXIT_NONCONVERGED
+    return _solve_exit(res, cfg)
 
 
 def _read_candidate_indices(path, N: int) -> list[int]:
@@ -345,12 +356,13 @@ def cmd_efficiency(args) -> int:
             "solved_gap_ratio": bounds.solved_gap_ratio,
             "efficiency_ratio": bounds.ratio,
             "certified_lower_bound": bounds.certified_lower_bound,
+            **_solve_counts(res),
         },
         timings={"solve_seconds": solve_seconds},
         converged=bool(res.converged),
     )
     print(f"efficiency {bounds.ratio:.6f} (certified >= {bounds.certified_lower_bound:.6f})")
-    return EXIT_OK if res.converged else EXIT_NONCONVERGED
+    return _solve_exit(res, cfg)
 
 
 def _bench_pool(args):
@@ -464,7 +476,6 @@ def cmd_two_stage(args) -> int:
         "stage1_indices": [int(i) for i in ts.stage1.indices],
         "combined_indices": [int(i) for i in ts.combined.indices],
     }
-    converged = True
     if ts.fit is not None:
         results["beta_hat"] = np.asarray(ts.fit.beta, dtype=float).tolist()
         if hasattr(ts.fit, "theta_cuts"):
@@ -474,19 +485,18 @@ def cmd_two_stage(args) -> int:
         results["phi_relaxed"] = float(ts.solve.phi_value)
         results["gap_ratio"] = float(ts.solve.gap_ratio)
         results.update(_solve_counts(ts.solve))
-        converged = bool(ts.solve.converged)
     _write_report(
         args, t0,
         params={"input": args.input, "response": args.response, "model": args.model,
                 "n": n, "r": r_frac, "p": p, "epsilon": cfg.epsilon, "v": cfg.v},
         results=results,
         timings={"solve_seconds": solve_seconds},
-        converged=converged,
+        converged=ts.solve is None or bool(ts.solve.converged),
         artifacts=artifacts,
     )
     print(f"two-stage sample: {len(ts.stage1.indices)} random + "
           f"{len(ts.combined.indices) - len(ts.stage1.indices)} designed of {Z.shape[0]}")
-    return EXIT_OK if converged else EXIT_NONCONVERGED
+    return EXIT_OK if ts.solve is None else _solve_exit(ts.solve, cfg)
 
 
 def cmd_bootstrap_eval(args) -> int:

@@ -12,7 +12,11 @@ Four cooperating pieces:
   projected point that runs on k x k information matrices only;
 * one solve loop for both phases: boost until the relative optimality gap
   reaches v0, then alternate steepest-gradient classification with
-  restricted solves until the gap reaches v;
+  restricted solves until the gap reaches v.  Each restricted solve is
+  inexact: it stops once its own gap is INNER_FORCING times the outer gap
+  it started from (the forcing term of inexact Newton methods; Dembo,
+  Eisenstat & Steihaug 1982), or INNER_TOL if that is larger, so rounds far
+  from the target do not solve their face to roundoff;
 * a screen for wide pools: the loop runs on a working set of the points
   best scored at the uniform weighting, and its iterates are checked on the
   full pool; a check that falls short sends the solve to the whole pool.
@@ -72,8 +76,10 @@ INNER_MAX_ITERS = 10000
 # screen's last full-pool gap is above the target
 SCREEN_FACTOR = 5.0
 SCREEN_MISS = 2.0
-# a restricted solve stops once its linearized gap is below INNER_TOL * Phi_p
+# a restricted solve started at relative outer gap g stops once its
+# linearized gap is below max(INNER_TOL, INNER_FORCING * g) * Phi_p
 INNER_TOL = 1e-10
+INNER_FORCING = 0.1
 # inner loop: a trial is accepted against the largest criterion value of the
 # last NONMONOTONE_WINDOW accepted iterates, with Armijo constant ARMIJO
 NONMONOTONE_WINDOW = 10
@@ -248,7 +254,8 @@ def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec) -> tu
 
 
 def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
-                pinned: np.ndarray | None, phi_ref: float) -> tuple[Measure, float, int, bool]:
+                pinned: np.ndarray | None, phi_ref: float,
+                outer_gap: float = 0.0) -> tuple[Measure, float, int, bool]:
     """Minimize the criterion with bound-agreeing coordinates pinned.
 
     Points at the cap in both w and sg stay at the cap, points at zero in
@@ -261,8 +268,11 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     rule against the largest criterion value of the last NONMONOTONE_WINDOW
     iterates, so single steps may go uphill; the best iterate is kept, and
     the result never has a larger criterion value than phi_ref = Phi_p(w).
-    Returns (measure, its criterion value, SPG steps, whether the step cap
-    was hit).
+    The solve is inexact: it stops at the first iterate whose restricted gap
+    is at most max(INNER_TOL, INNER_FORCING * outer_gap) times its criterion
+    value, where outer_gap is the relative gap of the evaluation that sg
+    came from; the default 0 solves to INNER_TOL.  Returns (measure, its
+    criterion value, SPG steps, whether the step cap was hit).
     """
     eps = w.epsilon
     t1, t2 = active_set_split(w, sg)
@@ -296,12 +306,13 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     recent = deque([state.phi_value], maxlen=NONMONOTONE_WINDOW)
     best_wf, best_phi = wf, state.phi_value
     alpha = eps / max(float(grad.max() - grad.min()), 1e-12)
+    tol = max(INNER_TOL, INNER_FORCING * outer_gap)
     cap_hit = False
     inner = 0
     for inner in range(1, INNER_MAX_ITERS + 1):
         u_best = _greedy_linear_max(grad, eps, mass)
         res_gap = float((u_best - wf) @ grad)
-        if res_gap <= INNER_TOL * max(state.phi_value, 1e-300):
+        if res_gap <= tol * max(state.phi_value, 1e-300):
             break
         d = project_capped_simplex(wf + alpha * grad, eps, mass) - wf
         slope = float(grad @ d)
@@ -383,9 +394,10 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
     The move is a boost step while boosting, until the gap reaches v0, a step
     is zero or MAX_BOOST_ITERS steps were taken; the loop then returns if
     refinement is off.  After that it is a restricted solve on the split
-    against the evaluation's steepest-gradient measure ev.sg until the gap
-    reaches v, except that a restricted solve which stalled is followed by
-    one boost step.  A given ev is w's evaluation, already recorded.
+    against the evaluation's steepest-gradient measure ev.sg, stopped at a
+    fraction of ev's gap (see _restricted), until the gap reaches v, except
+    that a restricted solve which stalled is followed by one boost step.  A
+    given ev is w's evaluation, already recorded.
     """
     phase, alpha, stalled = "boost", np.nan, False
     while True:
@@ -414,7 +426,8 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
                 w, ev, phase = w_next, None, "boost"
                 continue
         phi_old = ev.state.phi_value
-        w, phi_new, inner, cap_hit = _restricted(aset, w, ev.sg, spec, pinned, phi_ref=phi_old)
+        w, phi_new, inner, cap_hit = _restricted(aset, w, ev.sg, spec, pinned, phi_ref=phi_old,
+                                                 outer_gap=ev.gap_ratio)
         run.iterations["refine"] += 1
         run.inner += inner
         run.cap_hits += cap_hit

@@ -90,6 +90,29 @@ def test_select_nonconvergence_exit_code(pool_csv, tmp_path):
     assert rep["converged"] is False
 
 
+@pytest.mark.parametrize("command", ["select", "efficiency", "two-stage"])
+def test_nonconvergence_warns_with_its_cause(command, labeled_csv, tmp_path, capsys):
+    # a target below the roundoff of the gap: the refine rounds run out
+    pool = tmp_path / "pool.csv"
+    np.savetxt(pool, np.random.default_rng(0).standard_normal((300, 3)), delimiter=",",
+               header="a,b,c", comments="")
+    cand = tmp_path / "cand.txt"
+    cand.write_text("\n".join(str(i) for i in range(0, 300, 10)) + "\n")
+    argv = {"select": ["--input", str(pool), "--n", "30"],
+            "efficiency": ["--input", str(pool), "--candidate", str(cand)],
+            "two-stage": ["--input", str(labeled_csv), "--response", "y", "--add-intercept",
+                          "--model", "logistic", "--n", "30"]}[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--v", "1e-14", "--output-dir", str(out)]) == 4
+    res = _report(out)["results"]
+    gap = res["solved_gap_ratio" if command == "efficiency" else "gap_ratio"]
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warnings == [f"warning: the solve stopped at gap_ratio {gap:.3e} above the target "
+                        f"1.000e-14 after {res['iterations']['refine']} refine rounds, with "
+                        f"{res['inner_cap_hits']} inner cap hits"]
+    assert res["iterations"]["refine"] > 0
+
+
 def test_efficiency_certifies_candidate(pool_csv, tmp_path):
     out = tmp_path / "out"
     cand = tmp_path / "cand.txt"
@@ -473,14 +496,15 @@ _KEY_SET_RUNS = {
     "select": (["select", "--input", "{pool}", "--add-intercept", "--n", "8", "--seed", "3"], {
         "params": ["epsilon", "feature_names", "input", "model", "n", "p", "v", "v0"],
         "results": ["N", "certified_lower_bound", "efficiency_ratio", "epsilon", "gap_ratio",
-                    "inner_iterations", "iterations", "k", "n", "p", "phi_relaxed", "phi_sample",
-                    "selected_indices", "target_gap", "working_set"],
+                    "inner_cap_hits", "inner_iterations", "iterations", "k", "n", "p",
+                    "phi_relaxed", "phi_sample", "selected_indices", "target_gap", "working_set"],
         "timings": ["boost_seconds", "refine_seconds", "solve_seconds", "total_seconds"],
         "artifacts": ["weights"]}),
     "efficiency": (["efficiency", "--input", "{pool}", "--candidate", "{cand}"], {
         "params": ["candidate", "epsilon", "input", "model", "n", "p", "v"],
         "results": ["N", "candidate_indices", "certified_lower_bound", "efficiency_ratio",
-                    "epsilon", "k", "n", "p", "phi_candidate", "phi_relaxed", "solved_gap_ratio"],
+                    "epsilon", "inner_cap_hits", "inner_iterations", "iterations", "k", "n", "p",
+                    "phi_candidate", "phi_relaxed", "solved_gap_ratio", "working_set"],
         "timings": ["solve_seconds", "total_seconds"],
         "artifacts": []}),
     "bench": (["bench", "--N", "60", "--k", "3", "--n", "10", "--seed", "1",
@@ -498,8 +522,8 @@ _KEY_SET_RUNS = {
                    "--model", "logistic", "--n", "30", "--seed", "9"], {
         "params": ["epsilon", "input", "model", "n", "p", "r", "response", "v"],
         "results": ["N", "beta_hat", "combined_indices", "fit_iterations", "gap_ratio",
-                    "inner_iterations", "iterations", "model", "n", "n_stage1", "p", "phi_relaxed",
-                    "r", "stage1_indices", "working_set"],
+                    "inner_cap_hits", "inner_iterations", "iterations", "model", "n", "n_stage1",
+                    "p", "phi_relaxed", "r", "stage1_indices", "working_set"],
         "timings": ["solve_seconds", "total_seconds"],
         "artifacts": ["weights"]}),
     "bootstrap-eval": (["bootstrap-eval", "--input", "{labeled}", "--response", "y",

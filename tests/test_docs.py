@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import re
+import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +52,8 @@ def test_readme_solver_config_and_constants_match_the_code():
     documented = re.findall(r"`([a-z_0-9]+)`", sentence)
     assert documented == [f.name for f in dataclasses.fields(solvers.SolverConfig)]
     constants = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", text))
-    assert {"SCREEN_FACTOR", "SCREEN_MISS", "INNER_TOL", "FIT_TOL", "FIT_MAX_ITER"} <= constants
+    assert {"SCREEN_FACTOR", "SCREEN_MISS", "INNER_TOL", "INNER_FORCING", "FIT_TOL",
+            "FIT_MAX_ITER"} <= constants
     assert sorted(name for name in constants
                   if not hasattr(solvers, name) and not hasattr(fitting, name)) == []
 
@@ -87,9 +89,31 @@ def _paired_runs(node):
             yield from _paired_runs(value)
 
 
+# metrics of which a higher value is better; every other one is better lower
+_HIGHER_BETTER = {"certified_lb.min", "efficiency.min"}
+
+
+def _recomputed_summary(runs, metric):
+    """A summary entry for one metric, recomputed from a workload's paired runs."""
+    values = {side: [run[side]["metrics"][metric]["value"] for run in runs]
+              for side in ("parent", "change")}
+    out = {}
+    for side, vals in values.items():
+        q25, _, q75 = statistics.quantiles(vals, n=4, method="inclusive")
+        out[f"{side}_q25_med_q75"] = [round(q, 6) for q in (q25, statistics.median(vals), q75)]
+    pairs = list(zip(values["parent"], values["change"]))
+    higher = metric in _HIGHER_BETTER
+    out["change_better_pairs"] = sum((c > p) if higher else (c < p) for p, c in pairs)
+    out["ties"] = sum(c == p for p, c in pairs)
+    out["median_rel"] = round(statistics.median(values["change"])
+                              / statistics.median(values["parent"]) - 1.0, 4)
+    return out
+
+
 def test_bench_records_are_well_formed():
     records = sorted(ROOT.glob("BENCH_*.json"))
     assert records
+    unsummarized = []
     for path in records:
         record = json.loads(path.read_text())
         for key in ("change", "parent_commit", "command", "env"):
@@ -103,3 +127,24 @@ def test_bench_records_are_well_formed():
             for side in sides:
                 assert side["correct"] is True and side["failed"] == 0, path.name
             assert sides[0]["metrics"].keys() == sides[1]["metrics"].keys(), path.name
+        # a summary must follow from the paired-run lists of its workload: a
+        # top-level list named after it, or entries of another list that name it
+        by_workload = {}
+        for key, value in record.items():
+            if isinstance(value, list):
+                for run in value:
+                    by_workload.setdefault(run.get("workload", key), []).append(run)
+        if "summary" not in record:
+            unsummarized.append(path.name)
+        for workload, summary in record.get("summary", {}).items():
+            runs = by_workload.get(workload)
+            if runs is None:
+                continue
+            assert summary["pairs"] == len(runs), (path.name, workload)
+            for metric, entry in summary.items():
+                if isinstance(entry, dict):
+                    expected = _recomputed_summary(runs, metric)
+                    assert entry == expected, (path.name, workload, metric)
+    # only the records written before summaries were kept go without one
+    assert unsummarized == ["BENCH_csv_parse.json", "BENCH_row_tiles.json",
+                            "BENCH_working_set.json"]

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -261,6 +262,49 @@ def test_restricted_never_increases(rng):
         phi_new = build_info_state(X, w_new, spec).phi_value
         assert phi_new == pytest.approx(phi_ret, rel=1e-12)
         assert phi_new <= ev.state.phi_value + 1e-12
+
+
+def test_restricted_stops_at_the_forcing_fraction_of_the_outer_gap(monkeypatch):
+    # record the restricted gap and Phi_p that each SPG step tests, from the
+    # loop's own iterate
+    steps = []
+    greedy = solvers._greedy_linear_max
+
+    def spy(grad, eps, mass):
+        u = greedy(grad, eps, mass)
+        loop = sys._getframe(1).f_locals
+        steps.append((float((u - loop["wf"]) @ grad), loop["state"].phi_value))
+        return u
+
+    monkeypatch.setattr(solvers, "_greedy_linear_max", spy)
+    X = gaussian_pool(np.random.default_rng(0), 400, 5)
+    spec, eps = CriterionSpec(p=2.0), 1.0 / 40
+    aset = as_atom_set(X)
+    # a refine round's start: the boost phase's iterate, at a gap near v0
+    w = solve_hybrid(X, spec, _cfg(eps, v=1e-3)).w
+    ev = solvers._evaluate(aset, w, spec)
+    g = ev.gap_ratio
+    assert solvers.INNER_FORCING * g > solvers.INNER_TOL
+    _, _, exact, _ = solvers._restricted(aset, w, ev.sg, spec, None, ev.state.phi_value)
+    exact_steps, steps[:] = list(steps), []
+    _, _, forced, _ = solvers._restricted(aset, w, ev.sg, spec, None, ev.state.phi_value,
+                                          outer_gap=g)
+    # the same iterates, cut at the first one within the forcing fraction
+    assert steps == exact_steps[:forced]
+    first = next(i for i, (gap, phi) in enumerate(exact_steps, start=1)
+                 if gap <= solvers.INNER_FORCING * g * phi)
+    assert forced == first < exact
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_heavy_tailed_regression_refines_without_capping(seed):
+    # Cauchy columns leave a long restricted tail that a solve to INNER_TOL
+    # ran to the step cap; rounds stopped at the forcing fraction do not
+    rng = np.random.default_rng(seed)
+    X = np.hstack([np.ones((5000, 1)), rng.standard_cauchy((5000, 7))])
+    res = solve_hybrid(X, CriterionSpec(p=2.0), _cfg(1.0 / 200))
+    assert res.converged and res.inner_cap_hits == 0
+    assert res.inner_iterations < 100
 
 
 def test_inner_cap_hits_counted(rng, monkeypatch):

@@ -8,6 +8,12 @@ it is the only atom type.  A matrix atom's row is its upper triangle, the
 k(k+1)/2 entries in ``np.triu_indices(k)`` order, so that assembly and scores
 are single matrix-vector products over the pool; ``data`` unpacks the pool
 into (N, k, k) on each access.
+
+``rows`` is read-only, because what is derived from a pool is kept: the
+pool's uniform information, and the full-pool evaluation a solved measure
+carries for efficiency_bounds.  ``from_vectors`` does not copy a float64
+array: the pool is a read-only view of the caller's array, which must not be
+modified after a solve on the pool.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class AtomSet:
     symmetric PSD atom i; ``data`` gives the (N, k, k) matrices.
     """
 
-    __slots__ = ("kind", "rows", "k")
+    __slots__ = ("kind", "rows", "k", "_uniform")
 
     def __init__(self, kind: str, data: np.ndarray, *, validate: bool = True):
         if kind not in ("vector", "matrix"):
@@ -94,7 +100,7 @@ class AtomSet:
         if kind == "vector":
             if data.ndim != 2:
                 raise DimensionMismatch("vector atom pool must have shape (N, k)")
-            rows = data
+            rows = data.view()  # read-only here, the caller's array keeps its flags
         else:
             if data.ndim != 3 or data.shape[1] != data.shape[2]:
                 raise DimensionMismatch("matrix atom pool must have shape (N, k, k)")
@@ -103,9 +109,11 @@ class AtomSet:
             sym = (data + np.swapaxes(data, 1, 2)).reshape(len(data), k * k)
             rows = np.take(sym, _triu(k)[0], axis=1)
             rows *= 0.5
+        rows.setflags(write=False)
         self.kind = kind
         self.rows = rows
         self.k = data.shape[1]
+        self._uniform = None
         if kind == "matrix" and validate and len(rows):
             _check_psd_stack(self.data)
 
@@ -128,9 +136,20 @@ class AtomSet:
         return self.rows.shape[0]
 
     def subset(self, idx) -> "AtomSet":
+        """The atoms at idx (a mask, indices or a slice, which gives a view)."""
         sub = object.__new__(AtomSet)
-        sub.kind, sub.rows, sub.k = self.kind, self.rows[idx], self.k
+        rows = self.rows[idx]
+        rows.setflags(write=False)
+        sub.kind, sub.rows, sub.k, sub._uniform = self.kind, rows, self.k, None
         return sub
+
+    def uniform_information(self) -> np.ndarray:
+        """weighted_sum at the uniform weights 1/N, computed on first use and kept."""
+        if self._uniform is None:
+            M = self.weighted_sum(np.full(len(self), 1.0 / len(self)))
+            M.setflags(write=False)
+            self._uniform = M
+        return self._uniform
 
     def weighted_sum(self, w) -> np.ndarray:
         """Sum of w_i * atom_i as a (k, k) symmetric matrix.

@@ -103,16 +103,15 @@ def backward_select(atoms, n: int) -> BaselineResult:
     """
     aset, M = _pool(atoms, n, "backward deletion")
     N = len(aset)
-    # a copy whose first `size` rows are the current sample
-    work = aset.subset(np.arange(N))
-    Xa = work.data
+    # a writable copy whose first `size` rows are the current sample
+    Xa = np.array(aset.rows)
     idx = np.arange(N)
     size = N
     M_inv = np.linalg.inv(M)
 
     steps = 0
     while size > n:
-        lev = work.subset(slice(0, size)).quad_forms(M_inv)
+        lev = AtomSet("vector", Xa[:size]).quad_forms(M_inv)
         j = _tied_argmin(lev, idx[:size])
         M_inv = _downdate(M_inv, Xa[j], lev[j], idx[j])
         size -= 1

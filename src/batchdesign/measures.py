@@ -7,7 +7,7 @@ eps = 1/n every size-n subset corresponds to the feasible weighting that puts
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +38,16 @@ def _check_capacity(N: int, epsilon: float) -> None:
 
 @dataclass(frozen=True)
 class Measure:
-    """A feasible weighting of the pool."""
+    """A feasible weighting of the pool.
+
+    certificate is the full-pool evaluation that solvers.solve_hybrid
+    attaches to the weighting it returns, for efficiency_bounds to reuse; a
+    Measure built from weights carries none.
+    """
 
     weights: np.ndarray
     epsilon: float
+    certificate: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
@@ -71,17 +77,22 @@ class Measure:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A selected subset of pool indices."""
+    """A selected subset of pool indices.
+
+    indices may be any sequence or vector of integers; it is kept as a
+    sorted tuple of Python ints.
+    """
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(set(idx)) != len(idx):
+        idx = np.asarray(self.indices, dtype=np.int64)
+        ordered = _sorted_unique(idx)
+        if ordered.size != idx.size:
             raise ValueError("sample indices must be distinct")
-        if idx and min(idx) < 0:
+        if ordered.size and ordered[0] < 0:
             raise ValueError("sample indices must be nonnegative")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
+        object.__setattr__(self, "indices", tuple(ordered.tolist()))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -267,7 +278,7 @@ def round_to_sample(w: Measure, n: int, scores, pinned=None) -> SampleSet:
     # only points at or above the need-th largest weight can be taken
     cand = np.flatnonzero(neg <= np.partition(neg, need - 1)[need - 1])
     order = np.lexsort((cand, -scores[cand], neg[cand]))
-    return SampleSet(tuple(np.concatenate([pinned, cand[order[:need]]])))
+    return SampleSet(np.concatenate([pinned, cand[order[:need]]]))
 
 
 def measure_of_sample(sample: SampleSet, pool_size: int) -> Measure:

@@ -69,7 +69,7 @@ def two_stage_select(Z, y, model: str, n: int, r_frac: float, p: float,
     n1 = int(round(r_frac * n))
     n1 = min(max(n1, 1), n)
     stage1_idx = np.sort(rng.choice(N, size=n1, replace=False))
-    stage1 = SampleSet(tuple(int(i) for i in stage1_idx))
+    stage1 = SampleSet(stage1_idx)
     if n1 == n:
         # pure random sample; nothing left to design
         return TwoStageResult(stage1, stage1, None, None, p, n, r_frac)

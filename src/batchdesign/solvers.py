@@ -20,6 +20,8 @@ Four cooperating pieces:
 * a screen for wide pools: the loop runs on a working set of the points
   best scored at the uniform weighting, and its iterates are checked on the
   full pool; a check that falls short sends the solve to the whole pool.
+  The boosted pilot is judged on a sample of the pool when a refine round
+  follows, whose full-pool check certifies the result.
 
 The relative gap (sum_i sg_i phi_i - Phi_p) / Phi_p is an exact optimality
 certificate: value * (1 - gap) lower-bounds the optimal criterion value, so
@@ -73,9 +75,13 @@ INNER_MAX_ITERS = 10000
 # the pinned points and the SCREEN_FACTOR / eps best scored at the uniform
 # weighting.  The solve falls back to the whole pool from its usual start
 # when the boosted pilot's full-pool gap exceeds SCREEN_MISS * v0, or when the
-# screen's last full-pool gap is above the target
+# screen's last full-pool gap is above the target.  Before a refine round the
+# pilot's gap is first estimated from the working set and every
+# PILOT_SAMPLE_STRIDE-th point outside it; only an estimate above
+# SCREEN_MISS * v0 pays for the full-pool check
 SCREEN_FACTOR = 5.0
 SCREEN_MISS = 2.0
+PILOT_SAMPLE_STRIDE = 10
 # a restricted solve started at relative outer gap g stops once its
 # linearized gap is below max(INNER_TOL, INNER_FORCING * g) * Phi_p
 INNER_TOL = 1e-10
@@ -199,6 +205,22 @@ class EfficiencyBounds:
     certified_lower_bound: float
     solved_gap_ratio: float
     phi_candidate: float
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """A solve's last full-pool evaluation, carried by the measure it returns:
+    Phi_p and the scores of that measure on atoms under spec."""
+
+    atoms: AtomSet
+    spec: CriterionSpec
+    phi_value: float
+    scores: np.ndarray
+
+
+def _same_criterion(a: CriterionSpec, b: CriterionSpec) -> bool:
+    return a.p == b.p and (a.G is None) == (b.G is None) and (
+        a.G is None or np.array_equal(a.G, b.G))
 
 
 @dataclass
@@ -435,16 +457,41 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
         phase, alpha, ev = "refine", 0.0, None
 
 
+def _sampled_gap(aset: AtomSet, ws: np.ndarray, ev_sub: _Eval, spec: CriterionSpec,
+                 eps: float, pin_sub: np.ndarray | None) -> float:
+    """Estimated full-pool gap of a working-set iterate with evaluation ev_sub.
+
+    The working set keeps the scores ev_sub holds; every PILOT_SAMPLE_STRIDE-th
+    pool point outside it is scored through a strided view of the pool, with
+    no copy, and stands for PILOT_SAMPLE_STRIDE points in the linear maximum.
+    """
+    stride = PILOT_SAMPLE_STRIDE
+    sample = aset.subset(slice(None, None, stride))
+    outside = np.ones(len(sample), dtype=bool)
+    outside[ws[ws % stride == 0] // stride] = False
+    sampled = phi_p_scores(sample, ev_sub.state, spec)[outside]
+    scores = np.concatenate([ev_sub.scores, np.repeat(sampled, stride)])
+    u = _greedy_linear_max(_pin_scores(scores, pin_sub), eps, 1.0)
+    phi = ev_sub.state.phi_value
+    return (float(u @ scores) - phi) / phi
+
+
 def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
             pinned: np.ndarray | None, scores_u: np.ndarray,
             run: _Run) -> tuple[Measure, _Eval, int] | None:
     """Solve on a working set, checking its iterates on the full pool.
 
-    A boost-only pilot on the working set is checked first; None (fall back
-    to the whole pool) if its full-pool gap exceeds SCREEN_MISS * v0.  Then
-    one refine round on the working set, warm-started, is checked the same
-    way.  Returns the zero-padded iterate, its full-pool _Eval and the
-    working-set size, or None when the last full-pool gap is above the target.
+    A boost-only pilot on the working set is judged first; None (fall back
+    to the whole pool) if its full-pool gap exceeds SCREEN_MISS * v0.  When a
+    refine round follows, the pilot is judged on a sample (_sampled_gap), and
+    only an estimate above SCREEN_MISS * v0 pays for the full-pool check,
+    which alone can send the solve to the whole pool; a pilot that ends the
+    screen is always checked on the full pool, since that check certifies it.
+    Then one refine round on the working set, warm-started, is checked on the
+    full pool.  iterations["screen"] counts one check for the pilot and one
+    for the refine round.  Returns the zero-padded iterate, its full-pool
+    _Eval and the working-set size, or None when the last full-pool gap is
+    above the target.
     """
     N, m = len(aset), _count(SCREEN_FACTOR / eps)
     ws = np.argpartition(-scores_u, m - 1)[:m]
@@ -456,16 +503,21 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
         wts = np.zeros(N)
         wts[ws] = w_sub.weights
         w = Measure(wts, eps)
-        run.iterations["screen"] += 1
         return w, _evaluate(aset, w, spec, pinned)
 
     start = psg_measure(_pin_scores(scores_u[ws], pin_sub), eps, sub)
     w_sub, ev_sub = _descend(sub, spec, replace(cfg, v=cfg.v0), pin_sub, run, start, boosting=True)
-    w, ev = check(w_sub)
-    if ev.gap_ratio > SCREEN_MISS * cfg.v0:
-        return None
-    if ev.gap_ratio > cfg.target_gap and cfg.refine_enabled:
+    run.iterations["screen"] += 1
+    refines = cfg.refine_enabled and ev_sub.gap_ratio > cfg.target_gap
+    if refines and _sampled_gap(aset, ws, ev_sub, spec, eps, pin_sub) <= SCREEN_MISS * cfg.v0:
+        ev = None
+    else:
+        w, ev = check(w_sub)
+        if ev.gap_ratio > SCREEN_MISS * cfg.v0:
+            return None
+    if ev is None or (ev.gap_ratio > cfg.target_gap and cfg.refine_enabled):
         w_sub, _ = _descend(sub, spec, cfg, pin_sub, run, w_sub, boosting=False, ev=ev_sub)
+        run.iterations["screen"] += 1
         w, ev = check(w_sub)
     return (w, ev, ws.size) if ev.gap_ratio <= cfg.target_gap else None
 
@@ -481,7 +533,9 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     on a working set (see _screen), and on the whole pool when that falls
     short; the returned weights, scores and gap are always those of the full
     pool.  ``pinned`` points (a mask or integer indices) are held at the cap
-    throughout, which is how already-purchased points enter.
+    throughout, which is how already-purchased points enter.  The returned
+    measure carries its full-pool evaluation (Phi_p and the read-only
+    scores, with the pool and criterion), which efficiency_bounds reuses.
     """
     aset = as_atom_set(atoms)
     if cfg.epsilon is None:
@@ -495,8 +549,7 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     if pinned is not None and pinned.size * eps > 1.0 + 1e-9:
         raise InfeasibleEpsilon("pinned points alone exceed total mass one")
 
-    uniform = Measure(np.full(N, 1.0 / N), eps)
-    state_u = build_info_state(aset, uniform, spec)
+    state_u = info_state_from_m(aset.uniform_information(), spec)
     scores_u = phi_p_scores(aset, state_u, spec)
     run = _Run(SolveTrace(), time.perf_counter(), {"boost": 0, "refine": 0, "screen": 0})
     screened = None
@@ -515,6 +568,8 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     else:
         w, ev, working_set = screened
     converged = bool(ev.gap_ratio <= cfg.target_gap)
+    ev.scores.setflags(write=False)
+    w = Measure(w.weights, w.epsilon, _Certificate(aset, spec, ev.state.phi_value, ev.scores))
     return SolveResult(w=w, trace=run.trace, converged=converged, gap_ratio=ev.gap_ratio,
                        phi_value=ev.state.phi_value, scores=ev.scores,
                        iterations=run.iterations, working_set=working_set,
@@ -527,7 +582,12 @@ def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,
 
     The certified bound transfers only to a candidate that is feasible for
     the solved relaxation's cap (epsilon = 1/n covers every size-n sample);
-    a candidate weight above that cap raises InfeasibleEpsilon.
+    a candidate weight above that cap raises InfeasibleEpsilon.  When
+    w_solved is a solve_hybrid result on this same AtomSet object, under a
+    criterion of the same p and G, its Phi_p and scores are taken from the
+    evaluation it carries, and the gap from one linear maximum over those
+    scores, with no pinned points (the same numbers an evaluation gives);
+    otherwise w_solved is evaluated on the pool.
     """
     aset = as_atom_set(atoms)
     top = float(w_candidate.weights.max())
@@ -536,10 +596,16 @@ def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,
             f"candidate weight {top:.6g} exceeds the solved cap epsilon = "
             f"{w_solved.epsilon:.6g}, so the certificate does not apply")
     phi_candidate = build_info_state(aset, w_candidate, spec).phi_value
-    ev = _evaluate(aset, w_solved, spec)
-    phi = ev.state.phi_value
+    cert = w_solved.certificate
+    if cert is not None and cert.atoms is aset and _same_criterion(cert.spec, spec):
+        phi = cert.phi_value
+        lin = float(_greedy_linear_max(cert.scores, w_solved.epsilon, 1.0) @ cert.scores)
+        gap = (lin - phi) / phi
+    else:
+        ev = _evaluate(aset, w_solved, spec)
+        phi, gap = ev.state.phi_value, ev.gap_ratio
     ratio = phi / phi_candidate
-    certified = phi * (1.0 - max(ev.gap_ratio, 0.0)) / phi_candidate
+    certified = phi * (1.0 - max(gap, 0.0)) / phi_candidate
     return EfficiencyBounds(ratio=float(ratio), certified_lower_bound=float(certified),
-                            solved_gap_ratio=float(ev.gap_ratio),
+                            solved_gap_ratio=float(gap),
                             phi_candidate=float(phi_candidate))

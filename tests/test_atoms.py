@@ -85,7 +85,8 @@ def test_tiled_kernels_match_loop(k, layout, tile, offset, sparse, seed):
     if layout == "F":
         X = np.asfortranarray(X)
     aset = AtomSet.from_vectors(X)
-    assert aset.data is X  # the layout reaches the kernels uncopied
+    # the layout reaches the kernels uncopied, through a read-only view
+    assert aset.data.ctypes.data == X.ctypes.data and aset.data.strides == X.strides
     B = rng.standard_normal((k, k))
     B = B + B.T
     # zeros and negative weights; fewer than N/2 nonzeros take the sparse branch
@@ -178,6 +179,35 @@ def test_subset_and_iteration(rng):
     assert len(sub) == 2
     assert np.allclose(sub.data[1], X[3])
     assert sub.kind == "vector" and sub.k == 2
+
+
+@pytest.mark.parametrize("kind", ["vector", "matrix"])
+def test_rows_are_read_only(rng, kind):
+    # a pool keeps what it derives from its rows (its uniform information and
+    # a solved measure's certificate), so writing a row must fail
+    X = rng.standard_normal((12, 3))
+    if kind == "vector":
+        aset = AtomSet.from_vectors(X)
+    else:
+        aset = AtomSet.from_matrices(np.einsum("ni,nj->nij", X, X))
+    for pool in (aset, aset.subset(np.arange(12) % 2 == 0), aset.subset([1, 4, 4]),
+                 aset.subset(slice(None, None, 3))):
+        with pytest.raises(ValueError, match="read-only"):
+            pool.rows[0, 0] = 1.0
+    # the caller's own array is not frozen with the pool's view of it
+    assert X.flags.writeable
+    X[0, 0] = 2.0
+
+
+def test_uniform_information_is_kept_from_its_first_use(rng):
+    aset = AtomSet.from_vectors(rng.standard_normal((40, 3)))
+    assert aset._uniform is None  # not paid for at construction
+    M = aset.uniform_information()
+    assert np.array_equal(M, aset.weighted_sum(np.full(40, 1.0 / 40)))
+    assert aset.uniform_information() is M and not M.flags.writeable
+    sub = aset.subset(slice(0, 20))
+    assert sub._uniform is None
+    assert np.array_equal(sub.uniform_information(), sub.weighted_sum(np.full(20, 1.0 / 20)))
 
 
 def test_as_atom_set_promotions(rng):

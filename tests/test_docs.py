@@ -52,8 +52,8 @@ def test_readme_solver_config_and_constants_match_the_code():
     documented = re.findall(r"`([a-z_0-9]+)`", sentence)
     assert documented == [f.name for f in dataclasses.fields(solvers.SolverConfig)]
     constants = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", text))
-    assert {"SCREEN_FACTOR", "SCREEN_MISS", "INNER_TOL", "INNER_FORCING", "FIT_TOL",
-            "FIT_MAX_ITER"} <= constants
+    assert {"SCREEN_FACTOR", "SCREEN_MISS", "PILOT_SAMPLE_STRIDE", "INNER_TOL", "INNER_FORCING",
+            "FIT_TOL", "FIT_MAX_ITER"} <= constants
     assert sorted(name for name in constants
                   if not hasattr(solvers, name) and not hasattr(fitting, name)) == []
 

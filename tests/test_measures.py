@@ -51,6 +51,20 @@ def test_sample_set_normalizes():
         SampleSet((-1, 2))
 
 
+def test_sample_set_takes_numpy_and_python_ints():
+    expect = SampleSet((2, 9, 4)).indices
+    assert expect == (2, 4, 9)
+    for given_ in ([9, 2, 4], np.array([9, 2, 4]), np.array([9, 2, 4], dtype=np.uint32),
+                   tuple(np.array([9, 2, 4], dtype=np.int64))):
+        s = SampleSet(given_)
+        assert s.indices == expect and all(type(i) is int for i in s.indices)
+    assert SampleSet(()).indices == () and SampleSet(np.zeros(0, dtype=int)).indices == ()
+    with pytest.raises(ValueError, match="distinct"):
+        SampleSet(np.array([3, 1, 3]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        SampleSet(np.array([4, -2]))
+
+
 def test_sg_measure_frozen_examples():
     # floor(1/0.4) = 2 points at the cap, residual 0.2 on the next;
     # the score tie between indices 1 and 2 resolves to the lower index first

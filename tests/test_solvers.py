@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchdesign import (
+    AtomSet,
     CriterionSpec,
     CumulativeLinkSpec,
     Measure,
@@ -20,6 +21,7 @@ from batchdesign import (
     round_to_sample,
     sg_measure,
     solve_hybrid,
+    two_stage_select,
 )
 from batchdesign import solvers
 from batchdesign.errors import DimensionMismatch, InfeasibleEpsilon
@@ -356,12 +358,13 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
             assert calls["_evaluate"] == calls["moves"] + 1 == len(res.trace)
             continue
         # every move is made on the working set, and the full pool is
-        # evaluated only by the screen's checks
+        # evaluated only by the refine round's certifying check: the pilot
+        # is judged on a sample, and still counts as a screen check
         assert res.working_set < N
         assert calls["full-pool _restricted"] == calls["full-pool _boost_once"] == 0
         checks = calls["full-pool _evaluate"]
         assert calls["_evaluate"] - checks == calls["moves"] + 1 == len(res.trace)
-        assert checks == res.iterations["screen"] >= 2
+        assert checks == 1 and res.iterations["screen"] == 2
 
 
 def test_efficiency_bounds_bracket(rng):
@@ -378,6 +381,127 @@ def test_efficiency_bounds_bracket(rng):
     assert eb.certified_lower_bound <= eb.ratio <= 1.0 + 1e-8
     phi_bad = build_info_state(X, bad, spec).phi_value
     assert phi_bad * eb.certified_lower_bound <= res.phi_value * (1.0 + 1e-12)
+
+
+def test_screened_solve_makes_two_full_pool_passes(monkeypatch):
+    # per screened solve: the uniform start's scores and the refine round's
+    # certifying check, with the pilot judged on the working set and a strided
+    # tenth of the pool; efficiency_bounds reuses the solve's evaluation, and
+    # the pool's uniform information is assembled once for both criteria
+    N, n = 4000, 50
+    aset = AtomSet.from_vectors(gaussian_pool(np.random.default_rng(7), N, 5))
+    log = []
+
+    def spy(name):
+        kernel = getattr(AtomSet, name)
+
+        def wrapped(self, arg):
+            if len(self) in (N, N // 10):
+                dense = name == "weighted_sum" and np.count_nonzero(arg) >= 0.5 * len(self)
+                log.append((name, len(self), dense))
+            return kernel(self, arg)
+        monkeypatch.setattr(AtomSet, name, wrapped)
+
+    spy("quad_forms")
+    spy("weighted_sum")
+    for p in (0.0, 1.0):
+        spec = CriterionSpec(p=p)
+        log.clear()
+        res = solve_hybrid(aset, spec, _cfg(1.0 / n))
+        solve = Counter(log)
+        assert res.converged and res.working_set < N and res.iterations["screen"] == 2
+        sample = round_to_sample(res.w, n, res.scores)
+        log.clear()
+        efficiency_bounds(measure_of_sample(sample, N), res.w, aset, spec)
+        assert solve == {("quad_forms", N, False): 2, ("quad_forms", N // 10, False): 1,
+                         ("weighted_sum", N, False): 1, **({("weighted_sum", N, True): 1}
+                                                           if p == 0.0 else {})}
+        # the candidate's information is the one full-pool pass left
+        assert Counter(log) == {("weighted_sum", N, False): 1}
+
+
+def _two_stage_on_a_logistic_pool(cfg):
+    # the 400-point pool and two-stage run of the CLI's import test
+    # (test_reports.py), with the intercept column it adds
+    rng = np.random.default_rng(5)
+    Z = np.hstack([np.ones((400, 1)), rng.standard_normal((400, 2))])
+    y = (rng.random(400) < 1.0 / (1.0 + np.exp(-Z[:, 1]))).astype(int)
+    return two_stage_select(Z, y, "logistic", 30, 0.4, 0.0, cfg, np.random.default_rng(0))
+
+
+def test_efficiency_bounds_reuse_the_solve_evaluation(monkeypatch):
+    # a solved measure carries its full-pool evaluation; the bounds taken from
+    # it equal, bit for bit, those of a copy that must be evaluated, for a
+    # pinned two-stage solve and an unpinned one on the same pool
+    spec, cfg = CriterionSpec(p=0.0), _cfg(1.0 / 30)
+    pinned = _two_stage_on_a_logistic_pool(cfg).solve
+    atoms = pinned.w.certificate.atoms
+    free = solve_hybrid(atoms, spec, cfg)
+    evaluations = Counter()
+    evaluate = solvers._evaluate
+
+    def counted(aset, *args, **kwargs):
+        evaluations["full pool"] += len(aset) == 400
+        return evaluate(aset, *args, **kwargs)
+    monkeypatch.setattr(solvers, "_evaluate", counted)
+    for res in (pinned, free):
+        cand = measure_of_sample(round_to_sample(res.w, 30, res.scores), 400)
+        bare = Measure(res.w.weights, res.w.epsilon)
+        assert bare.certificate is None and np.array_equal(bare.weights, res.w.weights)
+        evaluations.clear()
+        held = efficiency_bounds(cand, res.w, atoms, spec)
+        assert evaluations["full pool"] == 0
+        assert held == efficiency_bounds(cand, bare, atoms, spec)
+        assert evaluations["full pool"] == 1
+        # another pool object over the same rows, or another p or G, is evaluated
+        evaluations.clear()
+        assert efficiency_bounds(cand, res.w, AtomSet.from_vectors(atoms.rows), spec) == held
+        others = (CriterionSpec(p=1.0), CriterionSpec(p=0.0, G=np.eye(3)[1:]))
+        for other in others:
+            assert efficiency_bounds(cand, res.w, atoms, other) == \
+                efficiency_bounds(cand, bare, atoms, other)
+        assert evaluations["full pool"] == 1 + 2 * len(others)
+
+
+def test_sampled_pilot_miss_is_confirmed_on_the_full_pool(monkeypatch):
+    # on the 400-point logistic two-stage pool the pilot's linear maximum
+    # lies in its working set, so the sampled estimate is its full-pool gap
+    # and the pilot is not evaluated on the full pool.  A sample that misses
+    # is confirmed by the full-pool check, which passes here: the solve
+    # stays screened, with the same outputs
+    cfg = _cfg(1.0 / 30)
+    estimates, full_gaps = [], []
+    sampled_gap, evaluate = solvers._sampled_gap, solvers._evaluate
+
+    def estimated(*args):
+        estimates.append(sampled_gap(*args))
+        return estimates[-1]
+
+    def evaluated(aset, *args, **kwargs):
+        ev = evaluate(aset, *args, **kwargs)
+        if len(aset) == 400:
+            full_gaps.append(ev.gap_ratio)
+        return ev
+    monkeypatch.setattr(solvers, "_sampled_gap", estimated)
+    monkeypatch.setattr(solvers, "_evaluate", evaluated)
+
+    def run():
+        estimates.clear()
+        full_gaps.clear()
+        return _two_stage_on_a_logistic_pool(cfg)
+
+    passed = run()
+    assert len(estimates) == 1 and estimates[0] <= solvers.SCREEN_MISS * cfg.v0
+    assert len(full_gaps) == 1  # the refine round's check
+    estimate = estimates[0]
+    monkeypatch.setattr(solvers, "_sampled_gap", lambda *args: np.inf)
+    missed = run()
+    assert len(full_gaps) == 2 and full_gaps[0] == pytest.approx(estimate, rel=1e-9)
+    for ts in (passed, missed):
+        assert ts.solve.working_set < 400 and ts.solve.iterations["screen"] == 2
+    _assert_same_solve(passed.solve, missed.solve)
+    assert passed.solve.iterations == missed.solve.iterations
+    assert passed.combined == missed.combined
 
 
 def test_efficiency_bounds_reject_a_candidate_above_the_cap(rng):
@@ -514,14 +638,29 @@ def test_screened_solve_on_matrix_atoms(rng):
         assert abs(res.phi_value / whole.phi_value - 1.0) <= v / (1.0 - v) + 1e-12
 
 
-def test_heavy_tailed_pool_falls_back_to_the_whole_pool():
+def test_heavy_tailed_pool_falls_back_to_the_whole_pool(monkeypatch):
     # uniform-weight leverage misjudges a Cauchy pool: the boosted pilot's
-    # full-pool gap is far above v0, and today's whole-pool solve runs instead
+    # sampled gap misses, its one full-pool check is far above v0, and
+    # today's whole-pool solve runs instead
     rng = np.random.default_rng(3)
     X = np.hstack([np.ones((200, 1)), rng.standard_cauchy((200, 2))])
     spec, cfg = CriterionSpec(p=1.0), _cfg(1.0 / 10)
+    calls = Counter()
+    evaluate, screen = solvers._evaluate, solvers._screen
+
+    def evaluated(aset, *args, **kwargs):
+        calls["full pool"] += len(aset) == 200
+        return evaluate(aset, *args, **kwargs)
+
+    def screened(*args, **kwargs):
+        out = screen(*args, **kwargs)
+        calls["screen's full pool"] = calls["full pool"]
+        return out
+    monkeypatch.setattr(solvers, "_evaluate", evaluated)
+    monkeypatch.setattr(solvers, "_screen", screened)
     res = solve_hybrid(X, spec, cfg)
     assert res.working_set == 200 and res.iterations["screen"] == 1
+    assert calls["screen's full pool"] == 1
     _assert_same_solve(res, _whole_pool(X, spec, cfg))
     _assert_full_pool_result(X, res, spec, cfg.v)
 

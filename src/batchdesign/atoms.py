@@ -52,6 +52,23 @@ def _tile_rows(k: int) -> int:
     return max(TILE_ROWS, TILE_BYTES // (8 * max(k, 1)))  # k = 0: no columns
 
 
+def _tiled_quad_forms(rows: np.ndarray, B: np.ndarray, buf: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """x^T B x for each row x of a vector pool, into out[:len(rows)].
+
+    The rows go through tiles of _tile_rows(k) rows, each multiplied into
+    buf, which holds at least min(_tile_rows(k), len(rows)) rows; a caller
+    that scans shrinking prefixes of one pool can keep buf and out.
+    """
+    out, step = out[:len(rows)], _tile_rows(B.shape[0])
+    for s in range(0, len(rows), step):
+        x = rows[s:s + step]
+        t = buf[:len(x)]
+        np.matmul(x, B, out=t)
+        np.einsum("ni,ni->n", t, x, out=out[s:s + step])
+    return out
+
+
 @lru_cache(maxsize=None)
 def _triu(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packing of a k x k matrix's upper triangle, in np.triu_indices(k) order.
@@ -195,15 +212,8 @@ class AtomSet:
             b = flat[upper] + flat[lower]
             b[diag] *= 0.5
             return rows @ b
-        out = np.empty(len(rows))
-        step = _tile_rows(self.k)
-        buf = np.empty((min(step, len(rows)), self.k))
-        for s in range(0, len(rows), step):
-            x = rows[s:s + step]
-            t = buf[:len(x)]
-            np.matmul(x, B, out=t)
-            np.einsum("ni,ni->n", t, x, out=out[s:s + step])
-        return out
+        buf = np.empty((min(_tile_rows(self.k), len(rows)), self.k))
+        return _tiled_quad_forms(rows, B, buf, np.empty(len(rows)))
 
 
 def as_atom_set(atoms) -> AtomSet:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomSet, as_atom_set
+from .atoms import AtomSet, _tile_rows, _tiled_quad_forms, as_atom_set
 from .criteria import CriterionSpec, build_info_state, is_singular
 from .errors import SingularInformation
 from .measures import SampleSet, measure_of_sample
@@ -103,15 +103,18 @@ def backward_select(atoms, n: int) -> BaselineResult:
     """
     aset, M = _pool(atoms, n, "backward deletion")
     N = len(aset)
-    # a writable copy whose first `size` rows are the current sample
+    # a writable copy whose first `size` rows are the current sample, scanned
+    # through one tile buffer into one leverage array
     Xa = np.array(aset.rows)
+    buf = np.empty((min(_tile_rows(aset.k), N), aset.k))
+    lev_all = np.empty(N)
     idx = np.arange(N)
     size = N
     M_inv = np.linalg.inv(M)
 
     steps = 0
     while size > n:
-        lev = AtomSet("vector", Xa[:size]).quad_forms(M_inv)
+        lev = _tiled_quad_forms(Xa[:size], M_inv, buf, lev_all)
         j = _tied_argmin(lev, idx[:size])
         M_inv = _downdate(M_inv, Xa[j], lev[j], idx[j])
         size -= 1

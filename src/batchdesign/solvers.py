@@ -12,11 +12,14 @@ Four cooperating pieces:
   projected point that runs on k x k information matrices only;
 * one solve loop for both phases: boost until the relative optimality gap
   reaches v0, then alternate steepest-gradient classification with
-  restricted solves until the gap reaches v.  Each restricted solve is
-  inexact: it stops once its own gap is INNER_FORCING times the outer gap
-  it started from (the forcing term of inexact Newton methods; Dembo,
-  Eisenstat & Steihaug 1982), or INNER_TOL if that is larger, so rounds far
-  from the target do not solve their face to roundoff;
+  restricted solves until the gap reaches v.  When refinement follows, the
+  boost phase also ends at the first boost that raises the gap, where the
+  vertex-directed steps start to zigzag (Lacoste-Julien & Jaggi 2015); its
+  iterate, whose criterion value the step did not raise, is kept.  Each
+  restricted solve is inexact: it stops once its own gap is INNER_FORCING
+  times the outer gap it started from (the forcing term of inexact Newton
+  methods; Dembo, Eisenstat & Steihaug 1982), or INNER_TOL if that is
+  larger, so rounds far from the target do not solve their face to roundoff;
 * a screen for wide pools: the loop runs on a working set of the points
   best scored at the uniform weighting, and its iterates are checked on the
   full pool; a check that falls short sends the solve to the whole pool.
@@ -415,13 +418,15 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
     Each pass evaluates, records and tests the iterate, then makes one move.
     The move is a boost step while boosting, until the gap reaches v0, a step
     is zero or MAX_BOOST_ITERS steps were taken; the loop then returns if
-    refinement is off.  After that it is a restricted solve on the split
-    against the evaluation's steepest-gradient measure ev.sg, stopped at a
-    fraction of ev's gap (see _restricted), until the gap reaches v, except
-    that a restricted solve which stalled is followed by one boost step.  A
-    given ev is w's evaluation, already recorded.
+    refinement is off.  With refinement on, boosting also ends at the first
+    boost whose iterate has a larger gap than the iterate it started from,
+    and that iterate is kept.  After that the move is a restricted solve on
+    the split against the evaluation's steepest-gradient measure ev.sg,
+    stopped at a fraction of ev's gap (see _restricted), until the gap
+    reaches v, except that a restricted solve which stalled is followed by
+    one boost step.  A given ev is w's evaluation, already recorded.
     """
-    phase, alpha, stalled = "boost", np.nan, False
+    phase, alpha, stalled, gap_from = "boost", np.nan, False, np.inf
     while True:
         if ev is None:
             ev = _evaluate(aset, w, spec, pinned)
@@ -430,7 +435,10 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
                           alpha=alpha, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
                           wall_time=time.perf_counter() - run.t0)
         if boosting:
-            if ev.gap_ratio > cfg.v0 and run.iterations["boost"] < MAX_BOOST_ITERS:
+            # with refinement to follow, a boost that raised the gap is zigzagging
+            rose = cfg.refine_enabled and ev.gap_ratio > gap_from
+            if ev.gap_ratio > cfg.v0 and run.iterations["boost"] < MAX_BOOST_ITERS and not rose:
+                gap_from = ev.gap_ratio
                 w_next, alpha = _boost_once(aset, w, ev, spec)
                 run.iterations["boost"] += 1
                 if alpha > 0.0:

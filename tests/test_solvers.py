@@ -121,6 +121,71 @@ def test_boost_only_stops_at_coarse_gap(rng):
     assert res.gap_ratio <= 1e-3
 
 
+def _boost_gaps(res):
+    """Gaps of the records before the first refine record: the boost phase, or a screen's pilot."""
+    recs = res.trace.records
+    end = next((i for i, r in enumerate(recs) if r.phase == "refine"), len(recs))
+    return np.array([r.gap_ratio for r in recs[:end]])
+
+
+def _toy_cumlink_pool():
+    Z = np.random.default_rng(1).standard_normal((100, 2))
+    return cumlink_atoms(Z, CumulativeLinkSpec(np.array([0.8, -0.5]), np.array([-0.5, 0.7])))
+
+
+def test_boost_phase_ends_at_the_first_boost_that_raises_the_gap():
+    # a whole-pool cumulative-link solve (N = 5 / eps) whose boosts zigzag:
+    # with refinement to follow, the phase ends at the first boost that
+    # raises the gap, far above v0, and keeps that iterate
+    atoms, spec, v0 = _toy_cumlink_pool(), CriterionSpec(p=2.0), 1e-3
+    res = solve_hybrid(atoms, spec, _cfg(1.0 / 20, v0=v0))
+    gaps = _boost_gaps(res)
+    assert res.converged and res.working_set == 100 and res.iterations["refine"] >= 1
+    assert res.iterations["boost"] == len(gaps) - 1
+    assert np.all(np.diff(gaps[:-1]) <= 0.0) and gaps[-1] > gaps[-2] > v0
+    assert res.trace.is_monotone()
+
+
+def test_boost_only_solve_and_screen_pilot_boost_through_rises_to_v0():
+    # the rising-gap exit needs refinement to follow in the same loop: a
+    # boost-only solve of the same pool, and the pilot of a screened pool
+    # (which runs at v = v0), boost through rises of the gap until it
+    # reaches v0, with no zero step and under MAX_BOOST_ITERS
+    atoms, spec, v0 = _toy_cumlink_pool(), CriterionSpec(p=2.0), 1e-3
+    boost_only = solve_hybrid(atoms, spec, _cfg(1.0 / 20, v0=v0, v=v0))
+    X = gaussian_pool(np.random.default_rng(0), 1000, 4)
+    screened = solve_hybrid(X, spec, _cfg(1.0 / 40, v0=v0))
+    assert boost_only.iterations["refine"] == 0
+    assert screened.working_set < 1000 and screened.iterations["refine"] >= 1
+    for res in (boost_only, screened):
+        gaps = _boost_gaps(res)
+        assert res.iterations["boost"] == len(gaps) - 1 < solvers.MAX_BOOST_ITERS
+        assert np.any(np.diff(gaps) > 0.0)
+        assert gaps[-1] <= v0 < gaps[:-1].min()
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), extra=st.integers(0, 8),
+       width=st.integers(1, 5), p=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+       g_rows=st.integers(0, 4), pins=st.integers(0, 2))
+def test_whole_pool_solve_agrees_with_a_tight_reference(seed, k, extra, width, p, g_rows, pins):
+    # N <= 5 / eps, so the whole pool boosts, leaves at its gap target or the
+    # first rise of the gap, and refines to v; its Phi_p is within v / (1 - v)
+    # of a solve to 1e-10
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    N, v = width * n, 1e-6
+    X = gaussian_pool(rng, N, k)
+    G = rng.standard_normal((g_rows, k)) if 0 < g_rows <= k else None
+    pinned = rng.choice(N, size=pins, replace=False) if pins else None
+    spec = CriterionSpec(p=p, G=G)
+    res = solve_hybrid(X, spec, _cfg(1.0 / n, v=v), pinned=pinned)
+    assert res.working_set == N and res.converged
+    assert res.trace.is_monotone()
+    ref = solve_hybrid(X, spec, _cfg(1.0 / n, v=1e-10), pinned=pinned)
+    assert abs(res.phi_value / ref.phi_value - 1.0) <= v / (1.0 - v) + 1e-12
+
+
 def test_pinned_points_stay_at_cap(rng):
     X = gaussian_pool(rng, 25, 3)
     pinned = np.array([4, 11, 17])

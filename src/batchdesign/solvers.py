@@ -2,8 +2,9 @@
 
 Four cooperating pieces:
 
-* boost steps: damped line moves toward the steepest-gradient measure, with
-  the step size from a quadratic model of the criterion along the segment;
+* boost steps: line moves toward the steepest-gradient measure, sized by a
+  quadratic model of the criterion along the segment up to its end, the
+  measure itself, and halved only where the criterion would rise;
 * restricted minimization: coordinates agreeing with the steepest-gradient
   measure at a bound are pinned there, the rest are optimized inside the
   capped box by a nonmonotone spectral projected gradient (SPG; Birgin,
@@ -25,6 +26,10 @@ Four cooperating pieces:
   full pool; a check that falls short sends the solve to the whole pool.
   The boosted pilot is judged on a sample of the pool when a refine round
   follows, whose full-pool check certifies the result.
+
+A move hands the InfoState it made of its iterate to that iterate's
+evaluation; only a start, the screen's full-pool checks and a restricted
+solve's renormalized iterate are assembled afresh.
 
 The relative gap (sum_i sg_i phi_i - Phi_p) / Phi_p is an exact optimality
 certificate: value * (1 - gap) lower-bounds the optimal criterion value, so
@@ -66,9 +71,8 @@ from .measures import (
 PHI_SLACK = 1e-12
 # relative outer-loop improvement under which a safeguard boost is inserted
 STALL_RTOL = 1e-14
-# boost step size min(BOOST_STEP_CAP, -eta / (tau + BOOST_CURVATURE_REG)):
-# the paper's step cap r and curvature regularizer u
-BOOST_STEP_CAP = 0.25
+# boost step size min(1, -eta / (tau + BOOST_CURVATURE_REG)), at most the
+# whole segment: the paper's curvature regularizer u
 BOOST_CURVATURE_REG = 1e-12
 # iteration caps: boost steps, restricted solves, and SPG steps per solve
 MAX_BOOST_ITERS = 5000
@@ -244,8 +248,10 @@ def _pin_scores(scores: np.ndarray, pinned: np.ndarray | None) -> np.ndarray:
 
 
 def _evaluate(aset: AtomSet, w: Measure, spec: CriterionSpec,
-              pinned: np.ndarray | None = None) -> _Eval:
-    state = build_info_state(aset, w, spec)
+              pinned: np.ndarray | None = None, state: InfoState | None = None) -> _Eval:
+    """Evaluate w; a given state, made by the move to w, stands for M(w)'s assembly."""
+    if state is None:
+        state = build_info_state(aset, w, spec)
     scores = phi_p_scores(aset, state, spec)
     sg = sg_measure(_pin_scores(scores, pinned), w.epsilon)
     lin = float(sg.weights @ scores)
@@ -253,40 +259,45 @@ def _evaluate(aset: AtomSet, w: Measure, spec: CriterionSpec,
     return _Eval(state, scores, sg, lin, gap_ratio)
 
 
-def _boost_once(aset: AtomSet, w: Measure, ev: _Eval, spec: CriterionSpec) -> tuple[Measure, float]:
+def _boost_once(aset: AtomSet, w: Measure, ev: _Eval,
+                spec: CriterionSpec) -> tuple[Measure, float, InfoState | None]:
+    """Step from w toward ev.sg by the quadratic model's alpha, at most 1,
+    halved until Phi_p does not rise: (measure, alpha, the accepted trial's
+    InfoState of (1 - alpha) M + alpha M_sg), or (w, 0, None)."""
     eta_value = ev.state.phi_value - ev.lin
     # a directional derivative within roundoff of zero is stationary
     if eta_value >= -PHI_SLACK * (1.0 + abs(ev.state.phi_value)):
-        return w, 0.0
+        return w, 0.0, None
     M_sg = aset.weighted_sum(ev.sg.weights)
     # eta < 0 and tau >= 0 here, so the step is positive
     tau_value = _blend_curvature(ev.state, M_sg, spec)
-    alpha = min(BOOST_STEP_CAP, -eta_value / (tau_value + BOOST_CURVATURE_REG))
+    alpha = min(1.0, -eta_value / (tau_value + BOOST_CURVATURE_REG))
     phi0 = ev.state.phi_value
     for _ in range(21):
         try:
-            phi_a = info_state_from_m((1.0 - alpha) * ev.state.M + alpha * M_sg, spec).phi_value
+            trial = info_state_from_m((1.0 - alpha) * ev.state.M + alpha * M_sg, spec)
+            if trial.phi_value <= phi0 + PHI_SLACK:
+                break
         except SingularInformation:
-            phi_a = np.inf
-        if phi_a <= phi0 + PHI_SLACK:
-            break
+            pass
         alpha *= 0.5
     else:
-        return w, 0.0
+        return w, 0.0, None
     wts = (1.0 - alpha) * w.weights + alpha * ev.sg.weights
     wts = wts / wts.sum()
-    return Measure(wts, w.epsilon), alpha
+    return Measure(wts, w.epsilon), alpha, trial
 
 
-def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
-                pinned: np.ndarray | None, phi_ref: float,
-                outer_gap: float = 0.0) -> tuple[Measure, float, int, bool]:
+def _restricted(aset: AtomSet, w: Measure, split: tuple[np.ndarray, np.ndarray],
+                spec: CriterionSpec, pinned: np.ndarray | None, phi_ref: float,
+                outer_gap: float = 0.0) -> tuple[Measure, float, int, bool, InfoState | None]:
     """Minimize the criterion with bound-agreeing coordinates pinned.
 
-    Points at the cap in both w and sg stay at the cap, points at zero in
-    both stay at zero; the rest move inside the capped box with the leftover
-    mass, by nonmonotone spectral projected gradient (the gradient
-    coordinate is the negated leverage).  Each iteration projects once, at
+    split is active_set_split(w, sg), for the steepest-gradient measure sg of
+    w's evaluation: points at the cap in both w and sg stay at the cap,
+    points at zero in both stay at zero; the rest move inside the capped box
+    with the leftover mass, by nonmonotone spectral projected gradient (the
+    gradient coordinate is the negated leverage).  Each iteration projects once, at
     the Barzilai-Borwein step s^T s / s^T y, and searches the segment from
     the iterate to that projection in information space: a trial costs one
     k x k factorization of M + t * M_d.  A trial is accepted under an Armijo
@@ -297,21 +308,22 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     is at most max(INNER_TOL, INNER_FORCING * outer_gap) times its criterion
     value, where outer_gap is the relative gap of the evaluation that sg
     came from; the default 0 solves to INNER_TOL.  Returns (measure, its
-    criterion value, SPG steps, whether the step cap was hit).
+    criterion value, SPG steps, whether the step cap was hit, the InfoState
+    of the closing fresh assembly, None for w itself or renormalized weights).
     """
     eps = w.epsilon
-    t1, t2 = active_set_split(w, sg)
+    t1, t2 = split
     if pinned is not None:
         t1 = t1.copy()
         t1[pinned] = True
         t2 = t2 & ~t1
     free = ~(t1 | t2)
     if not free.any():
-        return w, phi_ref, 0, False
+        return w, phi_ref, 0, False, None
 
     mass = 1.0 - eps * int(t1.sum())
     if mass < -1e-9:
-        return w, phi_ref, 0, False
+        return w, phi_ref, 0, False, None
     mass = max(mass, 0.0)
     M_fixed = eps * aset.weighted_sum(t1.astype(float)) if t1.any() else np.zeros((aset.k, aset.k))
     free_atoms = aset.subset(free)
@@ -323,7 +335,7 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     try:
         state = assemble(wf)
     except SingularInformation:
-        return w, phi_ref, 0, False
+        return w, phi_ref, 0, False, None
 
     # nonmonotone spectral projected gradient (Birgin, Martinez & Raydan 2000)
     # on the free coordinates; grad holds the scores, the negated gradient
@@ -381,17 +393,18 @@ def _restricted(aset: AtomSet, w: Measure, sg: Measure, spec: CriterionSpec,
     try:
         state = assemble(wf)
     except SingularInformation:
-        return w, phi_ref, inner, cap_hit
+        return w, phi_ref, inner, cap_hit, None
     if state.phi_value > phi_ref + PHI_SLACK:
-        return w, phi_ref, inner, cap_hit
+        return w, phi_ref, inner, cap_hit, None
     full = np.array(w.weights, dtype=float, copy=True)
     full[t1] = eps
     full[t2] = 0.0
     full[free] = wf
     total = full.sum()
+    phi = float(state.phi_value)
     if abs(total - 1.0) > 1e-13:
-        full = full / total
-    return Measure(full, eps), float(state.phi_value), inner, cap_hit
+        full, state = full / total, None
+    return Measure(full, eps), phi, inner, cap_hit, state
 
 
 def _count(x: float) -> int:
@@ -424,22 +437,24 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
     the split against the evaluation's steepest-gradient measure ev.sg,
     stopped at a fraction of ev's gap (see _restricted), until the gap
     reaches v, except that a restricted solve which stalled is followed by
-    one boost step.  A given ev is w's evaluation, already recorded.
+    one boost step.  A given ev is w's evaluation, already recorded.  A move
+    hands the InfoState it made of its iterate to the iterate's evaluation.
     """
-    phase, alpha, stalled, gap_from = "boost", np.nan, False, np.inf
+    phase, alpha, stalled, gap_from, state = "boost", np.nan, False, np.inf, None
+    split = None if ev is None else active_set_split(w, ev.sg)
     while True:
         if ev is None:
-            ev = _evaluate(aset, w, spec, pinned)
-            t1, t2 = active_set_split(w, ev.sg)
+            ev = _evaluate(aset, w, spec, pinned, state)
+            split = active_set_split(w, ev.sg)
             run.trace.add(phase=phase, phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
-                          alpha=alpha, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
+                          alpha=alpha, t1_size=int(split[0].sum()), t2_size=int(split[1].sum()),
                           wall_time=time.perf_counter() - run.t0)
         if boosting:
             # with refinement to follow, a boost that raised the gap is zigzagging
             rose = cfg.refine_enabled and ev.gap_ratio > gap_from
             if ev.gap_ratio > cfg.v0 and run.iterations["boost"] < MAX_BOOST_ITERS and not rose:
                 gap_from = ev.gap_ratio
-                w_next, alpha = _boost_once(aset, w, ev, spec)
+                w_next, alpha, state = _boost_once(aset, w, ev, spec)
                 run.iterations["boost"] += 1
                 if alpha > 0.0:
                     w, ev = w_next, None
@@ -451,13 +466,14 @@ def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.n
             return w, ev
         if stalled:
             stalled = False
-            w_next, alpha = _boost_once(aset, w, ev, spec)
+            w_next, alpha, state = _boost_once(aset, w, ev, spec)
             if alpha > 0.0:
                 w, ev, phase = w_next, None, "boost"
                 continue
         phi_old = ev.state.phi_value
-        w, phi_new, inner, cap_hit = _restricted(aset, w, ev.sg, spec, pinned, phi_ref=phi_old,
-                                                 outer_gap=ev.gap_ratio)
+        w_next, phi_new, inner, cap_hit, state = _restricted(
+            aset, w, split, spec, pinned, phi_ref=phi_old, outer_gap=ev.gap_ratio)
+        w, state = w_next, ev.state if w_next is w else state
         run.iterations["refine"] += 1
         run.inner += inner
         run.cap_hits += cap_hit

@@ -9,7 +9,7 @@ from batchdesign import (
     logistic_atoms,
     standardize_features,
 )
-from batchdesign.models import cumlink_parts
+from batchdesign.models import _sigmoid, cumlink_parts
 from batchdesign.errors import (
     DegenerateCategory,
     DimensionMismatch,
@@ -45,6 +45,29 @@ def logistic_fisher_fd(z, beta, h=1e-4):
                 - ell(beta - ea + eb) + ell(beta - ea - eb)
             ) / (4.0 * h * h)
     return -H
+
+
+def _masked_sigmoid(t):
+    """The two-branch form that _sigmoid replaced: exp of -t or t by a mask."""
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    rng = np.random.default_rng(3)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e-300])
+    t = np.concatenate([scale * rng.standard_normal(50_000) for scale in (1.0, 30.0, 800.0)]
+                       + [specials])
+    got, want = _sigmoid(t), _masked_sigmoid(t)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and nan.sum() == 2
+    # every number matches to the bit; a NaN stays a NaN, of either sign
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    assert _sigmoid(np.float64(-1000.0)) == 0.0 and _sigmoid(np.float64(1000.0)) == 1.0
 
 
 def test_logistic_atoms_at_zero_coefficients(rng):

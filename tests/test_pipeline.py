@@ -1,11 +1,13 @@
 import importlib.util
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from batchdesign import SolverConfig, bootstrap_evaluate, two_stage_select
-from batchdesign import pipeline
+from batchdesign import pipeline, solvers
 from batchdesign.errors import FitDiverged
 
 from helpers import sample_cumlink, sigmoid
@@ -92,14 +94,32 @@ def test_bootstrap_deterministic_and_shaped(rng):
     assert np.array_equal(a.reference_beta, b.reference_beta)
 
 
-def test_bootstrap_threads_match_serial(rng):
-    Z, y = _logistic_data(rng, N=300)
-    kw = dict(model="logistic", methods=["random", "two-stage"], n=40, r_frac=0.5,
-              p=1.0, B=4, cfg=_fast_cfg(), seed=123)
-    serial = bootstrap_evaluate(Z, y, threads=1, **kw)
-    threaded = bootstrap_evaluate(Z, y, threads=2, **kw)
-    for m_s, m_t in zip(serial.methods, threaded.methods):
-        assert m_s.total_mse == m_t.total_mse
+def test_bootstrap_threads_match_serial(monkeypatch):
+    # solves long enough to refine, with the interpreter switching threads as
+    # often as it can and each evaluation first yielding to the other thread,
+    # so that solver state shared between replicates, such as a factorization
+    # handed from a move to its evaluation outside the call chain, would leak
+    # into another replicate's solve and change its MSEs
+    evaluate = solvers._evaluate
+
+    def yielding(*args, **kwargs):
+        time.sleep(0)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_evaluate", yielding)
+    interval = sys.getswitchinterval()
+    for seed in range(3):
+        Z, y = _logistic_data(np.random.default_rng(seed), N=1000)
+        kw = dict(model="logistic", methods=["random", "two-stage"], n=200, r_frac=0.5,
+                  p=1.0, B=8, cfg=SolverConfig(), seed=seed)
+        serial = bootstrap_evaluate(Z, y, threads=1, **kw)
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = bootstrap_evaluate(Z, y, threads=2, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        for m_s, m_t in zip(serial.methods, threaded.methods):
+            assert np.array_equal(m_s.component_mse, m_t.component_mse), seed
 
 
 def test_bootstrap_aborts_on_many_failures(rng, monkeypatch):

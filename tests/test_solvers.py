@@ -10,12 +10,14 @@ from batchdesign import (
     AtomSet,
     CriterionSpec,
     CumulativeLinkSpec,
+    LogisticModelSpec,
     Measure,
     SolverConfig,
     as_atom_set,
     build_info_state,
     cumlink_atoms,
     efficiency_bounds,
+    logistic_atoms,
     measure_of_sample,
     phi_p_scores,
     round_to_sample,
@@ -25,6 +27,7 @@ from batchdesign import (
 )
 from batchdesign import solvers
 from batchdesign.errors import DimensionMismatch, InfeasibleEpsilon
+from batchdesign.measures import active_set_split
 
 from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible
 
@@ -38,7 +41,7 @@ def _boost(w, sg, X, spec):
     aset = as_atom_set(X)
     ev = solvers._evaluate(aset, w, spec)
     ev = replace(ev, sg=sg, lin=float(sg.weights @ ev.scores))
-    return solvers._boost_once(aset, w, ev, spec)
+    return solvers._boost_once(aset, w, ev, spec)[:2]
 
 
 def test_config_validation_and_modes():
@@ -284,36 +287,36 @@ def test_boost_step_descends(rng):
     w = Measure(np.full(20, 0.05), 0.1)
     aset = as_atom_set(X)
     ev = solvers._evaluate(aset, w, spec)
-    w_next, alpha = solvers._boost_once(aset, w, ev, spec)
-    assert 0.0 < alpha <= 0.25
+    w_next, alpha, _ = solvers._boost_once(aset, w, ev, spec)
+    assert 0.0 < alpha <= 1.0
     phi_after = build_info_state(X, w_next, spec).phi_value
     assert phi_after <= ev.state.phi_value + 1e-12
 
 
 def test_boost_step_from_near_singular_start_takes_newton_step():
     # w is nearly singular along e_2; the exact curvature is large there, so
-    # the step -eta / tau is far below the cap r and already descends
+    # the step -eta / tau is far below the segment's end and already descends
     X = np.eye(2)
     spec = CriterionSpec(p=1.0)
     w = Measure(np.array([1.0 - 1e-7, 1e-7]), 1.0)
     sg = Measure(np.array([0.5, 0.5]), 1.0)
     w_next, alpha = _boost(w, sg, X, spec)
-    assert 0.0 < alpha < solvers.BOOST_STEP_CAP
+    assert 0.0 < alpha < 1.0
     assert alpha == pytest.approx(1e-7, rel=1e-2)
     assert build_info_state(X, w_next, spec).phi_value < build_info_state(X, w, spec).phi_value
 
 
 def test_boost_step_halves_a_step_that_would_increase_the_criterion(monkeypatch):
-    # with the curvature taken as zero the step is the cap r = 0.25, which
-    # overshoots; the halving guard brings it back to 0.03125
+    # with the curvature taken as zero the step is the whole segment, whose
+    # end is singular; the halving guard brings it back to 0.03125
     monkeypatch.setattr(solvers, "_blend_curvature", lambda state, M1, spec: 0.0)
     X = np.eye(2)
     spec = CriterionSpec(p=1.0)
     w = Measure(np.array([0.51, 0.49]), 1.0)
     aset = as_atom_set(X)
     ev = solvers._evaluate(aset, w, spec)
-    w_next, alpha = solvers._boost_once(aset, w, ev, spec)
-    assert 0.0 < alpha < solvers.BOOST_STEP_CAP
+    w_next, alpha, _ = solvers._boost_once(aset, w, ev, spec)
+    assert 0.0 < alpha < 1.0
     assert alpha == 0.03125
     assert build_info_state(X, w_next, spec).phi_value <= ev.state.phi_value
 
@@ -325,7 +328,9 @@ def test_restricted_never_increases(rng):
         w = random_feasible(rng, 18, 0.15)
         aset = as_atom_set(X)
         ev = solvers._evaluate(aset, w, spec)
-        w_new, phi_ret, _, _ = solvers._restricted(aset, w, ev.sg, spec, None, ev.state.phi_value)
+        split = active_set_split(w, ev.sg)
+        w_new, phi_ret, _, _, _ = solvers._restricted(aset, w, split, spec, None,
+                                                      ev.state.phi_value)
         phi_new = build_info_state(X, w_new, spec).phi_value
         assert phi_new == pytest.approx(phi_ret, rel=1e-12)
         assert phi_new <= ev.state.phi_value + 1e-12
@@ -352,10 +357,11 @@ def test_restricted_stops_at_the_forcing_fraction_of_the_outer_gap(monkeypatch):
     ev = solvers._evaluate(aset, w, spec)
     g = ev.gap_ratio
     assert solvers.INNER_FORCING * g > solvers.INNER_TOL
-    _, _, exact, _ = solvers._restricted(aset, w, ev.sg, spec, None, ev.state.phi_value)
+    split = active_set_split(w, ev.sg)
+    _, _, exact, _, _ = solvers._restricted(aset, w, split, spec, None, ev.state.phi_value)
     exact_steps, steps[:] = list(steps), []
-    _, _, forced, _ = solvers._restricted(aset, w, ev.sg, spec, None, ev.state.phi_value,
-                                          outer_gap=g)
+    _, _, forced, _, _ = solvers._restricted(aset, w, split, spec, None, ev.state.phi_value,
+                                             outer_gap=g)
     # the same iterates, cut at the first one within the forcing fraction
     assert steps == exact_steps[:forced]
     first = next(i for i, (gap, phi) in enumerate(exact_steps, start=1)
@@ -400,16 +406,24 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
             out = fn(aset, *args, **kwargs)
             calls[fn.__name__] += 1
             calls["full-pool " + fn.__name__] += len(aset) == N
-            calls["moves"] += moved(out)
+            calls["moves"] += moved(out, *args)
             return out
         monkeypatch.setattr(solvers, fn.__name__, wrapped)
 
-    count(solvers._evaluate, lambda out: 0)
-    count(solvers._restricted, lambda out: 1)
-    count(solvers._boost_once, lambda out: out[1] > 0.0)
+    def restricted_moved(out, w, *_):
+        # a restricted solve that moved but hands back no state renormalized
+        calls["renormalized"] += out[0] is not w and out[4] is None
+        return 1
+
+    count(solvers._evaluate, lambda out, *_: 0)
+    count(solvers._restricted, restricted_moved)
+    count(solvers._boost_once, lambda out, *_: out[1] > 0.0)
     # the start is the one positivity-repaired measure; refine rounds split
     # against the evaluation's own steepest-gradient measure
-    count(solvers.psg_measure, lambda out: 0)
+    count(solvers.psg_measure, lambda out, *_: 0)
+    # every move hands its factorization to its iterate's evaluation, so only
+    # starts, full-pool checks and renormalized restricted exits assemble M
+    count(solvers.build_info_state, lambda out, *_: 0)
     # N = 5 / eps runs the whole-pool loop; N = 10 / eps is screened
     for N in (150, 300):
         calls.clear()
@@ -421,6 +435,7 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
         if N == 150:
             assert res.working_set == N and res.iterations["screen"] == 0
             assert calls["_evaluate"] == calls["moves"] + 1 == len(res.trace)
+            assert calls["build_info_state"] == 1 + calls["renormalized"]
             continue
         # every move is made on the working set, and the full pool is
         # evaluated only by the refine round's certifying check: the pilot
@@ -430,6 +445,61 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
         checks = calls["full-pool _evaluate"]
         assert calls["_evaluate"] - checks == calls["moves"] + 1 == len(res.trace)
         assert checks == 1 and res.iterations["screen"] == 2
+        assert calls["full-pool build_info_state"] == checks
+        assert calls["build_info_state"] == 1 + checks + calls["renormalized"]
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("with_g", [False, True])
+@pytest.mark.parametrize("pins", [0, 3])
+def test_carried_evaluations_match_a_fresh_assembly(monkeypatch, p, with_g, pins):
+    # an evaluation handed a move's factorization gives the Phi_p and scores
+    # that assembling and factorizing its weights afresh gives
+    carried = []
+    evaluate = solvers._evaluate
+
+    def spy(aset, w, spec, pinned=None, state=None):
+        out = evaluate(aset, w, spec, pinned, state)
+        if state is not None:
+            fresh = build_info_state(aset, w, spec)
+            carried.append((out.state.phi_value, fresh.phi_value, out.scores,
+                            phi_p_scores(aset, fresh, spec)))
+        return out
+
+    monkeypatch.setattr(solvers, "_evaluate", spy)
+    rng = np.random.default_rng([int(p), with_g, pins])
+    n, k = 20, 4
+    # a whole-pool solve and a screened one (N > 5 / eps)
+    for N in (6 * n, 15 * n):
+        X = gaussian_pool(rng, N, k)
+        G = rng.standard_normal((2, k)) if with_g else None
+        pinned = rng.choice(N, size=pins, replace=False) if pins else None
+        res = solve_hybrid(X, CriterionSpec(p=p, G=G), _cfg(1.0 / n, v=1e-9), pinned=pinned)
+        assert res.converged
+    assert len(carried) >= 10
+    for phi, phi_fresh, scores, scores_fresh in carried:
+        assert abs(phi / phi_fresh - 1.0) <= 1e-12
+        assert np.allclose(scores, scores_fresh, rtol=1e-10, atol=1e-10 * np.abs(scores).max())
+
+
+def test_uncapped_boost_reaches_past_the_paper_cap_on_a_pinned_logistic_pool():
+    # a bootstrap replicate's second stage: 1 900 distinct logistic records,
+    # 240 of them pinned by the first stage, n = 600 and p = 1.  The model's
+    # step asks for more than r = 0.25 along a criterion that is nearly
+    # linear toward the vertex; the solve with steps capped at r took 12 boosts
+    rng = np.random.default_rng(1)
+    N = 1900
+    Z = np.hstack([np.ones((N, 1)), rng.standard_normal((N, 4))])
+    atoms = logistic_atoms(Z, LogisticModelSpec(np.array([-0.5, 1.0, -0.8, 0.6, 0.4])))
+    pinned = rng.choice(N, size=240, replace=False)
+    res = solve_hybrid(atoms, CriterionSpec(p=1.0), _cfg(1.0 / 600), pinned=pinned)
+    assert res.converged and res.working_set == N
+    recs = res.trace.records
+    long_steps = [(prev.phi_value, rec.phi_value) for prev, rec in zip(recs, recs[1:])
+                  if rec.phase == "boost" and rec.alpha > 0.25]
+    assert long_steps
+    assert all(phi <= phi_prev + solvers.PHI_SLACK for phi_prev, phi in long_steps)
+    assert res.iterations["boost"] < 12
 
 
 def test_efficiency_bounds_bracket(rng):

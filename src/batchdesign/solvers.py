@@ -11,25 +11,26 @@ Four cooperating pieces:
   Martinez & Raydan 2000): one projection per iteration with a
   Barzilai-Borwein step, and a line search along the segment to the
   projected point that runs on k x k information matrices only;
-* one solve loop for both phases: boost until the relative optimality gap
-  reaches v0, then alternate steepest-gradient classification with
-  restricted solves until the gap reaches v.  When refinement follows, the
-  boost phase also ends at the first boost that raises the gap, where the
-  vertex-directed steps start to zigzag (Lacoste-Julien & Jaggi 2015); its
-  iterate, whose criterion value the step did not raise, is kept.  Each
-  restricted solve is inexact: it stops once its own gap is INNER_FORCING
-  times the outer gap it started from (the forcing term of inexact Newton
-  methods; Dembo, Eisenstat & Steihaug 1982), or INNER_TOL if that is
-  larger, so rounds far from the target do not solve their face to roundoff;
-* a screen for wide pools: the loop runs on a working set of the points
-  best scored at the uniform weighting, and its iterates are checked on the
-  full pool; a check that falls short sends the solve to the whole pool.
-  The boosted pilot is judged on a sample of the pool when a refine round
-  follows, whose full-pool check certifies the result.
+* two phases: boost until the relative optimality gap reaches v0, then
+  alternate steepest-gradient classification with restricted solves until
+  the gap reaches v.  When refinement follows, the boost phase also ends at
+  the first boost that raises the gap, where the vertex-directed steps
+  start to zigzag (Lacoste-Julien & Jaggi 2015); its iterate, whose
+  criterion value the step did not raise, is kept.  Each restricted solve
+  is inexact: it stops once its own gap is INNER_FORCING times the outer
+  gap it started from (the forcing term of inexact Newton methods; Dembo,
+  Eisenstat & Steihaug 1982), or INNER_TOL if that is larger, so rounds far
+  from the target do not solve their face to roundoff;
+* a screen for wide pools: a boost phase (the pilot) on a working set of
+  the points best scored at the uniform weighting, a gate that judges the
+  pilot on a sample of the pool first, a refine phase on the working set,
+  then one certifying check on the full pool; a gate or check that falls
+  short sends the solve to the whole pool.
 
-A move hands the InfoState it made of its iterate to that iterate's
-evaluation; only a start, the screen's full-pool checks and a restricted
-solve's renormalized iterate are assembled afresh.
+Both moves take their iterate's evaluation and return (measure, InfoState),
+and that state serves the new iterate's evaluation; only a start, the
+screen's full-pool checks and a restricted solve's renormalized iterate are
+assembled afresh.
 
 The relative gap (sum_i sg_i phi_i - Phi_p) / Phi_p is an exact optimality
 certificate: value * (1 - gap) lower-bounds the optimal criterion value, so
@@ -40,7 +41,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -155,27 +157,12 @@ class SolveTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def phi_values(self) -> np.ndarray:
-        return np.array([r.phi_value for r in self.records])
-
-    def is_monotone(self, slack: float = PHI_SLACK) -> bool:
-        phis = self.phi_values()
-        if phis.size < 2:
-            return True
-        return bool(np.all(np.diff(phis) <= slack + slack * np.abs(phis[:-1])))
-
     def phase_seconds(self) -> dict[str, float]:
         out: dict[str, float] = {}
         prev = 0.0
         for rec in self.records:
             out[rec.phase] = out.get(rec.phase, 0.0) + max(rec.wall_time - prev, 0.0)
             prev = rec.wall_time
-        return out
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for rec in self.records:
-            out[rec.phase] = out.get(rec.phase, 0) + 1
         return out
 
 
@@ -232,11 +219,17 @@ def _same_criterion(a: CriterionSpec, b: CriterionSpec) -> bool:
 
 @dataclass
 class _Eval:
+    w: Measure
     state: InfoState
     scores: np.ndarray
     sg: Measure
     lin: float
     gap_ratio: float
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """active_set_split(w, sg), made only for the trace and the restricted solve."""
+        return active_set_split(self.w, self.sg)
 
 
 def _pin_scores(scores: np.ndarray, pinned: np.ndarray | None) -> np.ndarray:
@@ -256,18 +249,18 @@ def _evaluate(aset: AtomSet, w: Measure, spec: CriterionSpec,
     sg = sg_measure(_pin_scores(scores, pinned), w.epsilon)
     lin = float(sg.weights @ scores)
     gap_ratio = (lin - state.phi_value) / state.phi_value
-    return _Eval(state, scores, sg, lin, gap_ratio)
+    return _Eval(w, state, scores, sg, lin, gap_ratio)
 
 
-def _boost_once(aset: AtomSet, w: Measure, ev: _Eval,
-                spec: CriterionSpec) -> tuple[Measure, float, InfoState | None]:
-    """Step from w toward ev.sg by the quadratic model's alpha, at most 1,
+def _boost_once(aset: AtomSet, ev: _Eval,
+                spec: CriterionSpec) -> tuple[Measure, float, InfoState]:
+    """Step from ev.w toward ev.sg by the quadratic model's alpha, at most 1,
     halved until Phi_p does not rise: (measure, alpha, the accepted trial's
-    InfoState of (1 - alpha) M + alpha M_sg), or (w, 0, None)."""
+    InfoState of (1 - alpha) M + alpha M_sg), or (ev.w, 0, ev.state)."""
     eta_value = ev.state.phi_value - ev.lin
     # a directional derivative within roundoff of zero is stationary
     if eta_value >= -PHI_SLACK * (1.0 + abs(ev.state.phi_value)):
-        return w, 0.0, None
+        return ev.w, 0.0, ev.state
     M_sg = aset.weighted_sum(ev.sg.weights)
     # eta < 0 and tau >= 0 here, so the step is positive
     tau_value = _blend_curvature(ev.state, M_sg, spec)
@@ -282,48 +275,46 @@ def _boost_once(aset: AtomSet, w: Measure, ev: _Eval,
             pass
         alpha *= 0.5
     else:
-        return w, 0.0, None
-    wts = (1.0 - alpha) * w.weights + alpha * ev.sg.weights
+        return ev.w, 0.0, ev.state
+    wts = (1.0 - alpha) * ev.w.weights + alpha * ev.sg.weights
     wts = wts / wts.sum()
-    return Measure(wts, w.epsilon), alpha, trial
+    return Measure(wts, ev.w.epsilon), alpha, trial
 
 
-def _restricted(aset: AtomSet, w: Measure, split: tuple[np.ndarray, np.ndarray],
-                spec: CriterionSpec, pinned: np.ndarray | None, phi_ref: float,
-                outer_gap: float = 0.0) -> tuple[Measure, float, int, bool, InfoState | None]:
+def _restricted(aset: AtomSet, ev: _Eval, spec: CriterionSpec, pinned: np.ndarray | None,
+                run: _Run) -> tuple[Measure, InfoState]:
     """Minimize the criterion with bound-agreeing coordinates pinned.
 
-    split is active_set_split(w, sg), for the steepest-gradient measure sg of
-    w's evaluation: points at the cap in both w and sg stay at the cap,
-    points at zero in both stay at zero; the rest move inside the capped box
-    with the leftover mass, by nonmonotone spectral projected gradient (the
-    gradient coordinate is the negated leverage).  Each iteration projects once, at
+    Against ev.split, for ev's iterate w and steepest-gradient measure sg:
+    points at the cap in both w and sg stay at the cap, points at zero in
+    both stay at zero; the rest move inside the capped box with the leftover
+    mass, by nonmonotone spectral projected gradient (the gradient
+    coordinate is the negated leverage).  Each iteration projects once, at
     the Barzilai-Borwein step s^T s / s^T y, and searches the segment from
     the iterate to that projection in information space: a trial costs one
     k x k factorization of M + t * M_d.  A trial is accepted under an Armijo
     rule against the largest criterion value of the last NONMONOTONE_WINDOW
     iterates, so single steps may go uphill; the best iterate is kept, and
-    the result never has a larger criterion value than phi_ref = Phi_p(w).
-    The solve is inexact: it stops at the first iterate whose restricted gap
-    is at most max(INNER_TOL, INNER_FORCING * outer_gap) times its criterion
-    value, where outer_gap is the relative gap of the evaluation that sg
-    came from; the default 0 solves to INNER_TOL.  Returns (measure, its
-    criterion value, SPG steps, whether the step cap was hit, the InfoState
-    of the closing fresh assembly, None for w itself or renormalized weights).
+    the result never has a larger criterion value than Phi_p(w).  The solve
+    is inexact: it stops at the first iterate whose restricted gap is at
+    most max(INNER_TOL, INNER_FORCING * g) times its criterion value, for
+    ev's relative gap g.  Adds its SPG steps and a step-cap hit to run.
+    Returns (measure, InfoState): (w, ev.state) when w is kept, else the
+    closing fresh assembly, or a fresh build of renormalized weights.
     """
-    eps = w.epsilon
-    t1, t2 = split
+    w, eps = ev.w, ev.w.epsilon
+    t1, t2 = ev.split
     if pinned is not None:
         t1 = t1.copy()
         t1[pinned] = True
         t2 = t2 & ~t1
     free = ~(t1 | t2)
     if not free.any():
-        return w, phi_ref, 0, False, None
+        return w, ev.state
 
     mass = 1.0 - eps * int(t1.sum())
     if mass < -1e-9:
-        return w, phi_ref, 0, False, None
+        return w, ev.state
     mass = max(mass, 0.0)
     M_fixed = eps * aset.weighted_sum(t1.astype(float)) if t1.any() else np.zeros((aset.k, aset.k))
     free_atoms = aset.subset(free)
@@ -335,7 +326,7 @@ def _restricted(aset: AtomSet, w: Measure, split: tuple[np.ndarray, np.ndarray],
     try:
         state = assemble(wf)
     except SingularInformation:
-        return w, phi_ref, 0, False, None
+        return w, ev.state
 
     # nonmonotone spectral projected gradient (Birgin, Martinez & Raydan 2000)
     # on the free coordinates; grad holds the scores, the negated gradient
@@ -343,8 +334,7 @@ def _restricted(aset: AtomSet, w: Measure, split: tuple[np.ndarray, np.ndarray],
     recent = deque([state.phi_value], maxlen=NONMONOTONE_WINDOW)
     best_wf, best_phi = wf, state.phi_value
     alpha = eps / max(float(grad.max() - grad.min()), 1e-12)
-    tol = max(INNER_TOL, INNER_FORCING * outer_gap)
-    cap_hit = False
+    tol = max(INNER_TOL, INNER_FORCING * ev.gap_ratio)
     inner = 0
     for inner in range(1, INNER_MAX_ITERS + 1):
         u_best = _greedy_linear_max(grad, eps, mass)
@@ -386,25 +376,26 @@ def _restricted(aset: AtomSet, w: Measure, split: tuple[np.ndarray, np.ndarray],
         if state.phi_value < best_phi:
             best_wf, best_phi = wf, state.phi_value
     else:
-        cap_hit = True
+        run.cap_hits += 1
+    run.inner += inner
 
     # one fresh assembly: the line searches updated M incrementally
     wf = np.clip(best_wf, 0.0, eps)
     try:
         state = assemble(wf)
     except SingularInformation:
-        return w, phi_ref, inner, cap_hit, None
-    if state.phi_value > phi_ref + PHI_SLACK:
-        return w, phi_ref, inner, cap_hit, None
+        return w, ev.state
+    if state.phi_value > ev.state.phi_value + PHI_SLACK:
+        return w, ev.state
     full = np.array(w.weights, dtype=float, copy=True)
     full[t1] = eps
     full[t2] = 0.0
     full[free] = wf
     total = full.sum()
-    phi = float(state.phi_value)
     if abs(total - 1.0) > 1e-13:
-        full, state = full / total, None
-    return Measure(full, eps), phi, inner, cap_hit, state
+        w_new = Measure(full / total, eps)
+        return w_new, build_info_state(aset, w_new, spec)
+    return Measure(full, eps), state
 
 
 def _count(x: float) -> int:
@@ -423,62 +414,57 @@ class _Run:
     cap_hits: int = 0
 
 
-def _descend(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, pinned: np.ndarray | None,
-             run: _Run, w: Measure, boosting: bool,
-             ev: _Eval | None = None) -> tuple[Measure, _Eval]:
-    """The solve loop on one atom set, from w; returns w and its _Eval.
+def _record(aset: AtomSet, spec: CriterionSpec, pinned: np.ndarray | None, run: _Run,
+            phase: str, alpha: float, w: Measure, state: InfoState | None = None) -> _Eval:
+    """Evaluate the iterate w, from the InfoState the move to it made when
+    given, and append its trace record."""
+    ev = _evaluate(aset, w, spec, pinned, state)
+    t1, t2 = ev.split
+    run.trace.add(phase=phase, phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
+                  alpha=alpha, t1_size=int(t1.sum()), t2_size=int(t2.sum()),
+                  wall_time=time.perf_counter() - run.t0)
+    return ev
 
-    Each pass evaluates, records and tests the iterate, then makes one move.
-    The move is a boost step while boosting, until the gap reaches v0, a step
-    is zero or MAX_BOOST_ITERS steps were taken; the loop then returns if
-    refinement is off.  With refinement on, boosting also ends at the first
-    boost whose iterate has a larger gap than the iterate it started from,
-    and that iterate is kept.  After that the move is a restricted solve on
-    the split against the evaluation's steepest-gradient measure ev.sg,
-    stopped at a fraction of ev's gap (see _restricted), until the gap
-    reaches v, except that a restricted solve which stalled is followed by
-    one boost step.  A given ev is w's evaluation, already recorded.  A move
-    hands the InfoState it made of its iterate to the iterate's evaluation.
-    """
-    phase, alpha, stalled, gap_from, state = "boost", np.nan, False, np.inf, None
-    split = None if ev is None else active_set_split(w, ev.sg)
-    while True:
-        if ev is None:
-            ev = _evaluate(aset, w, spec, pinned, state)
-            split = active_set_split(w, ev.sg)
-            run.trace.add(phase=phase, phi_value=ev.state.phi_value, gap_ratio=ev.gap_ratio,
-                          alpha=alpha, t1_size=int(split[0].sum()), t2_size=int(split[1].sum()),
-                          wall_time=time.perf_counter() - run.t0)
-        if boosting:
-            # with refinement to follow, a boost that raised the gap is zigzagging
-            rose = cfg.refine_enabled and ev.gap_ratio > gap_from
-            if ev.gap_ratio > cfg.v0 and run.iterations["boost"] < MAX_BOOST_ITERS and not rose:
-                gap_from = ev.gap_ratio
-                w_next, alpha, state = _boost_once(aset, w, ev, spec)
-                run.iterations["boost"] += 1
-                if alpha > 0.0:
-                    w, ev = w_next, None
-                    continue
-            boosting = False
-            if not cfg.refine_enabled:
-                return w, ev
-        if ev.gap_ratio <= cfg.v or run.iterations["refine"] == MAX_OUTER_ITERS:
-            return w, ev
+
+def _boost_phase(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig,
+                 pinned: np.ndarray | None, run: _Run, ev: _Eval, until_rise: bool) -> _Eval:
+    """Boost from the recorded evaluation ev while the gap is above v0 and
+    fewer than MAX_BOOST_ITERS steps were taken, up to a zero step; with
+    until_rise, also up to the first boost whose gap rose above its start's,
+    a zigzag whose iterate is kept.  Returns the last iterate's evaluation."""
+    gap_from = np.inf
+    # with refinement to follow, a boost that raised the gap is zigzagging
+    while (ev.gap_ratio > cfg.v0 and run.iterations["boost"] < MAX_BOOST_ITERS
+           and not (until_rise and ev.gap_ratio > gap_from)):
+        gap_from = ev.gap_ratio
+        w, alpha, state = _boost_once(aset, ev, spec)
+        run.iterations["boost"] += 1
+        if alpha == 0.0:
+            break
+        ev = _record(aset, spec, pinned, run, "boost", alpha, w, state)
+    return ev
+
+
+def _refine_phase(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig,
+                  pinned: np.ndarray | None, run: _Run, ev: _Eval) -> _Eval:
+    """Restricted solves (see _restricted) from the recorded evaluation ev
+    while the gap is above v and fewer than MAX_OUTER_ITERS rounds have run;
+    a round that stalled is followed by one boost step.  Returns the last
+    iterate's evaluation."""
+    stalled = False
+    while ev.gap_ratio > cfg.v and run.iterations["refine"] < MAX_OUTER_ITERS:
         if stalled:
             stalled = False
-            w_next, alpha, state = _boost_once(aset, w, ev, spec)
+            w, alpha, state = _boost_once(aset, ev, spec)
             if alpha > 0.0:
-                w, ev, phase = w_next, None, "boost"
+                ev = _record(aset, spec, pinned, run, "boost", alpha, w, state)
                 continue
         phi_old = ev.state.phi_value
-        w_next, phi_new, inner, cap_hit, state = _restricted(
-            aset, w, split, spec, pinned, phi_ref=phi_old, outer_gap=ev.gap_ratio)
-        w, state = w_next, ev.state if w_next is w else state
+        move = _restricted(aset, ev, spec, pinned, run)
+        ev = _record(aset, spec, pinned, run, "refine", 0.0, *move)
         run.iterations["refine"] += 1
-        run.inner += inner
-        run.cap_hits += cap_hit
-        stalled = phi_old - phi_new < STALL_RTOL * abs(phi_old)
-        phase, alpha, ev = "refine", 0.0, None
+        stalled = phi_old - ev.state.phi_value < STALL_RTOL * abs(phi_old)
+    return ev
 
 
 def _sampled_gap(aset: AtomSet, ws: np.ndarray, ev_sub: _Eval, spec: CriterionSpec,
@@ -502,20 +488,19 @@ def _sampled_gap(aset: AtomSet, ws: np.ndarray, ev_sub: _Eval, spec: CriterionSp
 
 def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
             pinned: np.ndarray | None, scores_u: np.ndarray,
-            run: _Run) -> tuple[Measure, _Eval, int] | None:
-    """Solve on a working set, checking its iterates on the full pool.
+            run: _Run) -> tuple[_Eval, int] | None:
+    """Solve on a working set, certifying the result on the full pool.
 
-    A boost-only pilot on the working set is judged first; None (fall back
-    to the whole pool) if its full-pool gap exceeds SCREEN_MISS * v0.  When a
-    refine round follows, the pilot is judged on a sample (_sampled_gap), and
-    only an estimate above SCREEN_MISS * v0 pays for the full-pool check,
-    which alone can send the solve to the whole pool; a pilot that ends the
-    screen is always checked on the full pool, since that check certifies it.
-    Then one refine round on the working set, warm-started, is checked on the
-    full pool.  iterations["screen"] counts one check for the pilot and one
-    for the refine round.  Returns the zero-padded iterate, its full-pool
-    _Eval and the working-set size, or None when the last full-pool gap is
-    above the target.
+    The pilot is a boost phase on the working set that boosts through rises
+    of the gap.  When a refine phase follows, the pilot is gated first: the
+    screen ends (None, fall back to the whole pool) when its gap estimated
+    on a sample (_sampled_gap) and then its full-pool gap are both above
+    SCREEN_MISS * v0; only an estimate above that pays for the full-pool
+    check.  The refine phase then runs on the working set, warm-started.
+    One check of the last iterate on the full pool certifies it.
+    iterations["screen"] counts the pilot and the refine phase.  Returns
+    the zero-padded iterate's full-pool _Eval and the working-set size, or
+    None when its gap is above the target.
     """
     N, m = len(aset), _count(SCREEN_FACTOR / eps)
     ws = np.argpartition(-scores_u, m - 1)[:m]
@@ -523,27 +508,24 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
     sub = aset.subset(ws)
     pin_sub = None if pinned is None else np.searchsorted(ws, pinned)
 
-    def check(w_sub):
+    def check(ev_sub):
         wts = np.zeros(N)
-        wts[ws] = w_sub.weights
-        w = Measure(wts, eps)
-        return w, _evaluate(aset, w, spec, pinned)
+        wts[ws] = ev_sub.w.weights
+        return _evaluate(aset, Measure(wts, eps), spec, pinned)
 
     start = psg_measure(_pin_scores(scores_u[ws], pin_sub), eps, sub)
-    w_sub, ev_sub = _descend(sub, spec, replace(cfg, v=cfg.v0), pin_sub, run, start, boosting=True)
+    ev_sub = _record(sub, spec, pin_sub, run, "boost", np.nan, start)
+    ev_sub = _boost_phase(sub, spec, cfg, pin_sub, run, ev_sub, until_rise=False)
     run.iterations["screen"] += 1
-    refines = cfg.refine_enabled and ev_sub.gap_ratio > cfg.target_gap
-    if refines and _sampled_gap(aset, ws, ev_sub, spec, eps, pin_sub) <= SCREEN_MISS * cfg.v0:
-        ev = None
-    else:
-        w, ev = check(w_sub)
-        if ev.gap_ratio > SCREEN_MISS * cfg.v0:
+    if cfg.refine_enabled and ev_sub.gap_ratio > cfg.target_gap:
+        miss = SCREEN_MISS * cfg.v0
+        if (_sampled_gap(aset, ws, ev_sub, spec, eps, pin_sub) > miss
+                and check(ev_sub).gap_ratio > miss):
             return None
-    if ev is None or (ev.gap_ratio > cfg.target_gap and cfg.refine_enabled):
-        w_sub, _ = _descend(sub, spec, cfg, pin_sub, run, w_sub, boosting=False, ev=ev_sub)
+        ev_sub = _refine_phase(sub, spec, cfg, pin_sub, run, ev_sub)
         run.iterations["screen"] += 1
-        w, ev = check(w_sub)
-    return (w, ev, ws.size) if ev.gap_ratio <= cfg.target_gap else None
+    ev = check(ev_sub)
+    return (ev, ws.size) if ev.gap_ratio <= cfg.target_gap else None
 
 
 def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
@@ -551,12 +533,11 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     """Boost-then-refine solve of the capped-simplex relaxation.
 
     Starts from the projected steepest-gradient measure of the uniform
-    weighting and runs the solve loop (see _descend): boost steps until the
-    gap reaches v0, then restricted solves until it reaches v (skipped when
-    v >= v0).  A pool of more than SCREEN_FACTOR / eps points is first solved
-    on a working set (see _screen), and on the whole pool when that falls
-    short; the returned weights, scores and gap are always those of the full
-    pool.  ``pinned`` points (a mask or integer indices) are held at the cap
+    weighting and runs the boost phase until the gap reaches v0, then the
+    refine phase until it reaches v (skipped when v >= v0).  A pool of more
+    than SCREEN_FACTOR / eps points is first solved on a working set (see
+    _screen), and on the whole pool when that falls short; the returned
+    weights, scores and gap are always those of the full pool.  ``pinned`` points (a mask or integer indices) are held at the cap
     throughout, which is how already-purchased points enter.  The returned
     measure carries its full-pool evaluation (Phi_p and the read-only
     scores, with the pool and criterion), which efficiency_bounds reuses.
@@ -586,14 +567,17 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
         # the whole pool from the usual start; a failed screen keeps only its count
         run = _Run(SolveTrace(), run.t0, {"boost": 0, "refine": 0,
                                           "screen": run.iterations["screen"]})
-        w = psg_measure(_pin_scores(scores_u, pinned), eps, aset)
-        w, ev = _descend(aset, spec, cfg, pinned, run, w, boosting=True)
+        start = psg_measure(_pin_scores(scores_u, pinned), eps, aset)
+        ev = _record(aset, spec, pinned, run, "boost", np.nan, start)
+        ev = _boost_phase(aset, spec, cfg, pinned, run, ev, until_rise=cfg.refine_enabled)
+        if cfg.refine_enabled:
+            ev = _refine_phase(aset, spec, cfg, pinned, run, ev)
         working_set = N
     else:
-        w, ev, working_set = screened
+        ev, working_set = screened
     converged = bool(ev.gap_ratio <= cfg.target_gap)
     ev.scores.setflags(write=False)
-    w = Measure(w.weights, w.epsilon, _Certificate(aset, spec, ev.state.phi_value, ev.scores))
+    w = Measure(ev.w.weights, eps, _Certificate(aset, spec, ev.state.phi_value, ev.scores))
     return SolveResult(w=w, trace=run.trace, converged=converged, gap_ratio=ev.gap_ratio,
                        phi_value=ev.state.phi_value, scores=ev.scores,
                        iterations=run.iterations, working_set=working_set,
@@ -609,9 +593,8 @@ def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,
     a candidate weight above that cap raises InfeasibleEpsilon.  When
     w_solved is a solve_hybrid result on this same AtomSet object, under a
     criterion of the same p and G, its Phi_p and scores are taken from the
-    evaluation it carries, and the gap from one linear maximum over those
-    scores, with no pinned points (the same numbers an evaluation gives);
-    otherwise w_solved is evaluated on the pool.
+    evaluation it carries, else from one assembly of w_solved on the pool;
+    the gap is one linear maximum over those scores, with no pinned points.
     """
     aset = as_atom_set(atoms)
     top = float(w_candidate.weights.max())
@@ -622,12 +605,12 @@ def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,
     phi_candidate = build_info_state(aset, w_candidate, spec).phi_value
     cert = w_solved.certificate
     if cert is not None and cert.atoms is aset and _same_criterion(cert.spec, spec):
-        phi = cert.phi_value
-        lin = float(_greedy_linear_max(cert.scores, w_solved.epsilon, 1.0) @ cert.scores)
-        gap = (lin - phi) / phi
+        phi, scores = cert.phi_value, cert.scores
     else:
-        ev = _evaluate(aset, w_solved, spec)
-        phi, gap = ev.state.phi_value, ev.gap_ratio
+        state = build_info_state(aset, w_solved, spec)
+        phi, scores = state.phi_value, phi_p_scores(aset, state, spec)
+    lin = float(sg_measure(scores, w_solved.epsilon).weights @ scores)
+    gap = (lin - phi) / phi
     ratio = phi / phi_candidate
     certified = phi * (1.0 - max(gap, 0.0)) / phi_candidate
     return EfficiencyBounds(ratio=float(ratio), certified_lower_bound=float(certified),

@@ -1,0 +1,138 @@
+"""Seeded solves of the golden corpus, and the script that rewrites it.
+
+Each instance is a pool family at fixed sizes and seed; ``run`` solves it,
+rounds the relaxation to its sample and certifies the sample.  Running this
+file rewrites ``solves.json`` next to it:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+A change that rewrites the corpus says which entries changed and why.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+
+import numpy as np
+
+from batchdesign import (
+    CriterionSpec,
+    CumulativeLinkSpec,
+    LogisticModelSpec,
+    SolverConfig,
+    cumlink_atoms,
+    efficiency_bounds,
+    logistic_atoms,
+    measure_of_sample,
+    round_to_sample,
+    solve_hybrid,
+    two_stage_select,
+)
+
+CORPUS = pathlib.Path(__file__).with_name("solves.json")
+# the sample is recorded as exact only when the n-th and (n+1)-th largest
+# free weights differ by more than TIE_MARGIN * eps, so that no solver
+# roundoff can reorder them
+TIE_MARGIN = 1e-3
+
+
+def _gaussian(seed, N, k, tails="normal"):
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_cauchy if tails == "cauchy" else rng.standard_normal
+    return np.hstack([np.ones((N, 1)), draw((N, k - 1))])
+
+
+def _logistic(seed, N):
+    rng = np.random.default_rng(seed)
+    Z = np.hstack([np.ones((N, 1)), rng.standard_normal((N, 4))])
+    beta = np.array([-0.5, 1.0, -0.8, 0.6, 0.4])
+    y = (rng.random(N) < 1.0 / (1.0 + np.exp(-Z @ beta))).astype(int)
+    return Z, y, beta
+
+
+def _instances():
+    out = []
+    # screened Gaussian pools (N > 5 / eps), refined and boost-only
+    for p in (0.0, 1.0, 2.0):
+        for seed in (0, 1):
+            out.append(dict(family="gaussian", seed=seed, N=4000, k=8, n=100, p=p))
+    out.append(dict(family="gaussian", seed=2, N=4000, k=8, n=100, p=1.0, v=1e-3))
+    out.append(dict(family="gaussian", seed=5, N=4000, k=8, n=100, p=1.0, pins=20))
+    # whole-pool Gaussian solves, unpinned and pinned
+    for p in (0.0, 1.0, 2.0):
+        out.append(dict(family="gaussian", seed=3, N=300, k=5, n=60, p=p))
+        out.append(dict(family="gaussian", seed=4, N=300, k=5, n=60, p=p, pins=12))
+    # heavy tails, which fall back from the screen to the whole pool
+    for seed in (1, 2):
+        out.append(dict(family="cauchy", seed=seed, N=3000, k=8, n=100, p=2.0))
+    # cumulative-link matrix atoms, on all parameters and on the beta block
+    out.append(dict(family="cumlink", seed=0, N=1500, n=100, p=2.0))
+    out.append(dict(family="cumlink", seed=0, N=1500, n=100, p=1.0, beta_only=True))
+    # a bootstrap replicate's second stage: a pinned logistic pool
+    out.append(dict(family="logistic", seed=1, N=1900, n=600, p=1.0, pins=240))
+    # the two-stage workflow end to end
+    out.append(dict(family="two-stage", seed=5, N=6000, n=150, p=1.0))
+    for inst in out:
+        inst.setdefault("v", 1e-6)
+        inst["name"] = "-".join(f"{k}={v}" for k, v in inst.items())
+    return out
+
+
+INSTANCES = _instances()
+
+
+def _problem(inst):
+    """(atoms, spec, pinned) of a solve instance."""
+    seed, N, family = inst["seed"], inst["N"], inst["family"]
+    pinned = None
+    if inst.get("pins"):
+        pinned = np.sort(np.random.default_rng(seed + 100).choice(N, inst["pins"], replace=False))
+    if family in ("gaussian", "cauchy"):
+        return _gaussian(seed, N, inst["k"], family), CriterionSpec(p=inst["p"]), pinned
+    if family == "cumlink":
+        Z = np.random.default_rng(seed).standard_normal((N, 2))
+        model = CumulativeLinkSpec(np.array([0.8, -0.5]), np.array([-0.5, 0.7]))
+        G = model.beta_selector if inst.get("beta_only") else None
+        return cumlink_atoms(Z, model), CriterionSpec(p=inst["p"], G=G), pinned
+    Z, _, beta = _logistic(seed, N)
+    return logistic_atoms(Z, LogisticModelSpec(beta)), CriterionSpec(p=inst["p"]), pinned
+
+
+def _exact(res, n, pinned):
+    free = res.w.weights.copy()
+    if pinned is not None:
+        free[pinned] = np.inf
+    top = np.sort(free)[::-1]
+    return bool(top[n - 1] - top[n] > TIE_MARGIN * res.w.epsilon)
+
+
+def run(inst):
+    """Solve, round and certify one instance; the corpus entry it gives."""
+    n, cfg = inst["n"], SolverConfig(epsilon=1.0 / inst["n"], v=inst["v"])
+    if inst["family"] == "two-stage":
+        Z, y, _ = _logistic(inst["seed"], inst["N"])
+        ts = two_stage_select(Z, y, "logistic", n, 0.4, inst["p"], cfg,
+                              np.random.default_rng(inst["seed"]))
+        res, sample, pinned = ts.solve, ts.combined, np.array(ts.stage1.indices)
+        atoms, spec = res.w.certificate.atoms, res.w.certificate.spec
+    else:
+        atoms, spec, pinned = _problem(inst)
+        res = solve_hybrid(atoms, spec, cfg, pinned=pinned)
+        sample = round_to_sample(res.w, n, res.scores, pinned=pinned)
+    bounds = efficiency_bounds(measure_of_sample(sample, len(atoms)), res.w, atoms, spec)
+    return dict(name=inst["name"], converged=res.converged, phi_value=res.phi_value,
+                gap_ratio=res.gap_ratio, target_gap=cfg.target_gap, v=inst["v"],
+                indices=list(sample.indices), exact_indices=_exact(res, n, pinned),
+                certified_lower_bound=bounds.certified_lower_bound)
+
+
+def main():
+    entries = [run(inst) for inst in INSTANCES]
+    # one entry per line, so that a rewrite shows which entries changed
+    CORPUS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    print(f"wrote {len(entries)} entries to {CORPUS}")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,7 @@ the boost step uses, so the tests of ``tau`` test that code.
 """
 
 import csv
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +23,7 @@ from batchdesign import (
 from batchdesign.criteria import _blend_curvature, info_state_from_m
 from batchdesign.errors import SingularInformation
 from batchdesign.measures import MASS_TOL
+from batchdesign.solvers import PHI_SLACK
 
 
 def gaussian_pool(rng, N, k, intercept=True):
@@ -183,6 +185,23 @@ def tau(w_prime, w, atoms, spec):
     aset = as_atom_set(atoms)
     state = info_state_from_m(aset.weighted_sum(_weights(w)), spec)
     return _blend_curvature(state, aset.weighted_sum(_weights(w_prime)), spec)
+
+
+def trace_phi_values(trace):
+    """Phi_p of every recorded iterate of a SolveTrace, in order."""
+    return np.array([r.phi_value for r in trace.records])
+
+
+def is_monotone(trace, slack=PHI_SLACK):
+    """Whether no recorded Phi_p rose above its predecessor by more than the
+    absolute and relative slack."""
+    phis = trace_phi_values(trace)
+    return bool(np.all(np.diff(phis) <= slack + slack * np.abs(phis[:-1])))
+
+
+def phase_counts(trace):
+    """Number of recorded iterates per phase of a SolveTrace."""
+    return dict(Counter(r.phase for r in trace.records))
 
 
 def sigmoid(t):

@@ -26,10 +26,16 @@ from batchdesign import (
     two_stage_select,
 )
 from batchdesign import solvers
-from batchdesign.errors import DimensionMismatch, InfeasibleEpsilon
-from batchdesign.measures import active_set_split
+from batchdesign.errors import DimensionMismatch, InfeasibleEpsilon, SingularInformation
 
-from helpers import best_subset, gaussian_pool, phi_of_subset, random_feasible
+from helpers import (
+    best_subset,
+    gaussian_pool,
+    is_monotone,
+    phase_counts,
+    phi_of_subset,
+    random_feasible,
+)
 
 
 def _cfg(eps, **kw):
@@ -41,7 +47,15 @@ def _boost(w, sg, X, spec):
     aset = as_atom_set(X)
     ev = solvers._evaluate(aset, w, spec)
     ev = replace(ev, sg=sg, lin=float(sg.weights @ ev.scores))
-    return solvers._boost_once(aset, w, ev, spec)[:2]
+    w_next, alpha, state = solvers._boost_once(aset, ev, spec)
+    # a zero step hands back the evaluation's own measure and state
+    assert alpha > 0.0 or (w_next is w and state is ev.state)
+    return w_next, alpha
+
+
+def _run():
+    """Empty trace and counters for calling one move outside a solve."""
+    return solvers._Run(solvers.SolveTrace(), 0.0, {"boost": 0, "refine": 0, "screen": 0})
 
 
 def test_config_validation_and_modes():
@@ -108,8 +122,8 @@ def test_trace_monotone_and_phases(rng):
     X = gaussian_pool(rng, 60, 4)
     res = solve_hybrid(X, CriterionSpec(p=2.0), _cfg(0.05, v=1e-7))
     assert res.converged
-    assert res.trace.is_monotone()
-    counts = res.trace.counts()
+    assert is_monotone(res.trace)
+    counts = phase_counts(res.trace)
     assert counts.get("boost", 0) >= 1
     assert res.iterations["refine"] >= 0
     assert set(res.trace.phase_seconds()) <= {"boost", "refine"}
@@ -146,14 +160,14 @@ def test_boost_phase_ends_at_the_first_boost_that_raises_the_gap():
     assert res.converged and res.working_set == 100 and res.iterations["refine"] >= 1
     assert res.iterations["boost"] == len(gaps) - 1
     assert np.all(np.diff(gaps[:-1]) <= 0.0) and gaps[-1] > gaps[-2] > v0
-    assert res.trace.is_monotone()
+    assert is_monotone(res.trace)
 
 
 def test_boost_only_solve_and_screen_pilot_boost_through_rises_to_v0():
-    # the rising-gap exit needs refinement to follow in the same loop: a
+    # the rising-gap exit needs refinement to follow the boost phase: a
     # boost-only solve of the same pool, and the pilot of a screened pool
-    # (which runs at v = v0), boost through rises of the gap until it
-    # reaches v0, with no zero step and under MAX_BOOST_ITERS
+    # (whose refine phase follows only after the gate), boost through rises
+    # of the gap until it reaches v0, with no zero step and under MAX_BOOST_ITERS
     atoms, spec, v0 = _toy_cumlink_pool(), CriterionSpec(p=2.0), 1e-3
     boost_only = solve_hybrid(atoms, spec, _cfg(1.0 / 20, v0=v0, v=v0))
     X = gaussian_pool(np.random.default_rng(0), 1000, 4)
@@ -184,7 +198,7 @@ def test_whole_pool_solve_agrees_with_a_tight_reference(seed, k, extra, width, p
     spec = CriterionSpec(p=p, G=G)
     res = solve_hybrid(X, spec, _cfg(1.0 / n, v=v), pinned=pinned)
     assert res.working_set == N and res.converged
-    assert res.trace.is_monotone()
+    assert is_monotone(res.trace)
     ref = solve_hybrid(X, spec, _cfg(1.0 / n, v=1e-10), pinned=pinned)
     assert abs(res.phi_value / ref.phi_value - 1.0) <= v / (1.0 - v) + 1e-12
 
@@ -287,7 +301,7 @@ def test_boost_step_descends(rng):
     w = Measure(np.full(20, 0.05), 0.1)
     aset = as_atom_set(X)
     ev = solvers._evaluate(aset, w, spec)
-    w_next, alpha, _ = solvers._boost_once(aset, w, ev, spec)
+    w_next, alpha, _ = solvers._boost_once(aset, ev, spec)
     assert 0.0 < alpha <= 1.0
     phi_after = build_info_state(X, w_next, spec).phi_value
     assert phi_after <= ev.state.phi_value + 1e-12
@@ -315,7 +329,7 @@ def test_boost_step_halves_a_step_that_would_increase_the_criterion(monkeypatch)
     w = Measure(np.array([0.51, 0.49]), 1.0)
     aset = as_atom_set(X)
     ev = solvers._evaluate(aset, w, spec)
-    w_next, alpha, _ = solvers._boost_once(aset, w, ev, spec)
+    w_next, alpha, _ = solvers._boost_once(aset, ev, spec)
     assert 0.0 < alpha < 1.0
     assert alpha == 0.03125
     assert build_info_state(X, w_next, spec).phi_value <= ev.state.phi_value
@@ -328,11 +342,9 @@ def test_restricted_never_increases(rng):
         w = random_feasible(rng, 18, 0.15)
         aset = as_atom_set(X)
         ev = solvers._evaluate(aset, w, spec)
-        split = active_set_split(w, ev.sg)
-        w_new, phi_ret, _, _, _ = solvers._restricted(aset, w, split, spec, None,
-                                                      ev.state.phi_value)
+        w_new, state = solvers._restricted(aset, ev, spec, None, _run())
         phi_new = build_info_state(X, w_new, spec).phi_value
-        assert phi_new == pytest.approx(phi_ret, rel=1e-12)
+        assert phi_new == pytest.approx(state.phi_value, rel=1e-12)
         assert phi_new <= ev.state.phi_value + 1e-12
 
 
@@ -357,16 +369,150 @@ def test_restricted_stops_at_the_forcing_fraction_of_the_outer_gap(monkeypatch):
     ev = solvers._evaluate(aset, w, spec)
     g = ev.gap_ratio
     assert solvers.INNER_FORCING * g > solvers.INNER_TOL
-    split = active_set_split(w, ev.sg)
-    _, _, exact, _, _ = solvers._restricted(aset, w, split, spec, None, ev.state.phi_value)
+    # an evaluation at gap 0 solves to INNER_TOL
+    exact_run, forced_run = _run(), _run()
+    solvers._restricted(aset, replace(ev, gap_ratio=0.0), spec, None, exact_run)
     exact_steps, steps[:] = list(steps), []
-    _, _, forced, _, _ = solvers._restricted(aset, w, split, spec, None, ev.state.phi_value,
-                                             outer_gap=g)
+    solvers._restricted(aset, ev, spec, None, forced_run)
+    exact, forced = exact_run.inner, forced_run.inner
     # the same iterates, cut at the first one within the forcing fraction
     assert steps == exact_steps[:forced]
     first = next(i for i, (gap, phi) in enumerate(exact_steps, start=1)
                  if gap <= solvers.INNER_FORCING * g * phi)
     assert forced == first < exact
+
+
+def _force_exit(monkeypatch, exit_):
+    """Patch the solver so that a move takes exit_; returns the list of
+    factorizations made to fail or replaced so far."""
+    factor, seen = solvers.info_state_from_m, []
+    # (caller of info_state_from_m, its forced calls, replacement factorization)
+    caller, calls, make = {
+        "singular start": ("assemble", (1,), None),
+        "singular close": ("assemble", (2,), None),
+        "closing phi above the reference":
+            ("assemble", (2,), lambda M, spec: factor(1e-6 * M, spec)),
+        "halvings exhausted": ("_boost_once", range(1, 22), None),
+    }.get(exit_, (None, (), None))
+
+    def patched(M, spec):
+        if sys._getframe(1).f_code.co_name == caller:
+            seen.append(M)
+            if len(seen) in calls:
+                if make is None:
+                    raise SingularInformation("forced")
+                return make(M, spec)
+        return factor(M, spec)
+    monkeypatch.setattr(solvers, "info_state_from_m", patched)
+    if exit_ == "renormalized":
+        # every capped-simplex projection of _restricted is 1e-11 heavy
+        project = solvers.project_capped_simplex
+
+        def heavy(v, eps, mass):
+            u = project(v, eps, mass)
+            u[np.argmin(u)] += 1e-11
+            return u
+        monkeypatch.setattr(solvers, "project_capped_simplex", heavy)
+    return seen
+
+
+CLOSING_EXITS = ("singular close", "closing phi above the reference")
+
+
+@pytest.mark.parametrize("exit_", ["no free point", "negative mass", "singular start",
+                                   *CLOSING_EXITS])
+def test_restricted_exits_hand_back_the_evaluation(rng, monkeypatch, exit_):
+    # every exit that keeps w returns the evaluation's own measure and state
+    aset, spec = as_atom_set(gaussian_pool(np.random.default_rng(3), 12, 3)), CriterionSpec(p=2.0)
+    # four points at the cap 1/4, the rest at zero
+    ev = solvers._evaluate(aset, Measure(np.r_[np.full(4, 0.25), np.zeros(8)], 0.25), spec)
+    pinned = None
+    if exit_ == "no free point":
+        ev = replace(ev, sg=ev.w)
+    elif exit_ == "negative mass":
+        # points 3 and 4 are free, and pinning 5 and 6 leaves mass 1 - 5 / 4
+        ev = replace(ev, sg=Measure(np.r_[np.full(3, 0.25), 0.0, 0.25, np.zeros(7)], 0.25))
+        pinned = np.array([5, 6])
+    elif exit_ in CLOSING_EXITS:
+        aset = as_atom_set(gaussian_pool(rng, 18, 3))
+        ev = solvers._evaluate(aset, random_feasible(rng, 18, 0.15), spec)
+    seen = _force_exit(monkeypatch, exit_)
+    run = _run()
+    w_new, state = solvers._restricted(aset, ev, spec, pinned, run)
+    assert w_new is ev.w and state is ev.state
+    assert len(seen) == {"singular start": 1, **dict.fromkeys(CLOSING_EXITS, 2)}.get(exit_, 0)
+    # the SPG steps taken before a closing exit still count
+    assert (run.inner > 0) == (exit_ in CLOSING_EXITS)
+
+
+def test_renormalized_restricted_exit_returns_a_fresh_assembly(rng, monkeypatch):
+    _force_exit(monkeypatch, "renormalized")
+    aset, spec = as_atom_set(gaussian_pool(rng, 18, 3)), CriterionSpec(p=2.0)
+    ev = solvers._evaluate(aset, random_feasible(rng, 18, 0.15), spec)
+    w_new, state = solvers._restricted(aset, ev, spec, None, _run())
+    assert w_new is not ev.w and abs(w_new.weights.sum() - 1.0) <= 1e-15
+    fresh = build_info_state(aset, w_new, spec)
+    assert abs(state.phi_value / fresh.phi_value - 1.0) <= 1e-12
+    np.testing.assert_allclose(state.M, fresh.M, rtol=1e-12, atol=0.0)
+    assert state.phi_value <= ev.state.phi_value + solvers.PHI_SLACK
+
+
+def test_boost_step_exhausts_its_halvings(rng, monkeypatch):
+    # every trial of the step is singular: after 21 halvings the step is zero
+    aset, spec = as_atom_set(gaussian_pool(rng, 20, 3)), CriterionSpec(p=1.0)
+    ev = solvers._evaluate(aset, Measure(np.full(20, 0.05), 0.1), spec)
+    trials = _force_exit(monkeypatch, "halvings exhausted")
+    w_next, alpha, state = solvers._boost_once(aset, ev, spec)
+    assert len(trials) == 21
+    assert alpha == 0.0 and w_next is ev.w and state is ev.state
+
+
+@pytest.mark.parametrize("exit_", ["singular start", *CLOSING_EXITS, "renormalized",
+                                   "halvings exhausted"])
+def test_solve_through_a_forced_exit_records_one_evaluation_per_move(rng, monkeypatch, exit_):
+    # a whole-pool solve (N = 5 / eps) whose first restricted solve or first
+    # boost takes the exit, or every restricted solve the renormalized one,
+    # still evaluates and records each move's iterate once
+    seen, calls = _force_exit(monkeypatch, exit_), Counter()
+    restricted, boost_once, evaluate = solvers._restricted, solvers._boost_once, solvers._evaluate
+    build = solvers.build_info_state
+
+    def counted_restricted(aset, ev, *args):
+        before = calls["assemblies"]
+        out = restricted(aset, ev, *args)
+        calls["moves"] += 1
+        calls["kept"] += out[0] is ev.w and out[1] is ev.state
+        calls["renormalized"] += calls["assemblies"] - before
+        return out
+
+    def counted_boost(*args):
+        out = boost_once(*args)
+        calls["moves"] += out[1] > 0.0
+        return out
+
+    def counted_evaluate(*args):
+        calls["evaluations"] += 1
+        return evaluate(*args)
+
+    def counted_build(*args):
+        calls["assemblies"] += 1
+        return build(*args)
+    monkeypatch.setattr(solvers, "_restricted", counted_restricted)
+    monkeypatch.setattr(solvers, "_boost_once", counted_boost)
+    monkeypatch.setattr(solvers, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(solvers, "build_info_state", counted_build)
+    X = gaussian_pool(rng, 150, 4)
+    res = solve_hybrid(X, CriterionSpec(p=1.0), _cfg(1.0 / 30, v=1e-9))
+    assert res.working_set == 150 and res.converged
+    assert calls["evaluations"] == calls["moves"] + 1 == len(res.trace)
+    if exit_ == "renormalized":
+        assert calls["renormalized"] == res.iterations["refine"] >= 1
+    elif exit_ == "halvings exhausted":
+        # the first boost is zero, so the boost phase hands its start to the refine phase
+        assert len(seen) >= 21 and [r.phase for r in res.trace.records[:2]] == ["boost", "refine"]
+    else:
+        assert len(seen) >= (1 if exit_ == "singular start" else 2) and calls["kept"] >= 1
+    _assert_full_pool_result(X, res, CriterionSpec(p=1.0), 1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -389,7 +535,7 @@ def test_inner_cap_hits_counted(rng, monkeypatch):
         capped = solve_hybrid(X, spec, _cfg(0.1, v=1e-9))
     assert capped.inner_iterations > 0
     assert 0 < capped.inner_cap_hits <= capped.iterations["refine"] == 5
-    assert capped.trace.is_monotone()
+    assert is_monotone(capped.trace)
     roomy = solve_hybrid(X, spec, _cfg(0.1, v=1e-9))
     assert roomy.converged and roomy.inner_cap_hits == 0
 
@@ -403,27 +549,35 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
 
     def count(fn, moved):
         def wrapped(aset, *args, **kwargs):
+            before = calls["build_info_state"]
             out = fn(aset, *args, **kwargs)
             calls[fn.__name__] += 1
             calls["full-pool " + fn.__name__] += len(aset) == N
-            calls["moves"] += moved(out, *args)
+            calls["moves"] += moved(out, *args, assembled=calls["build_info_state"] - before)
             return out
         monkeypatch.setattr(solvers, fn.__name__, wrapped)
 
-    def restricted_moved(out, w, *_):
-        # a restricted solve that moved but hands back no state renormalized
-        calls["renormalized"] += out[0] is not w and out[4] is None
+    def evaluated(out, w, spec, pinned=None, state=None, assembled=0):
+        # an evaluation handed no state assembles M(w) itself
+        calls["fresh _evaluate"] += state is None
+        return 0
+
+    def restricted_moved(out, ev, *_, assembled):
+        # a restricted solve assembles only the renormalized weights it returns
+        if assembled:
+            calls["renormalized"] += assembled
+            assert assembled == 1 and out[0] is not ev.w and out[1] is not ev.state
         return 1
 
-    count(solvers._evaluate, lambda out, *_: 0)
+    count(solvers._evaluate, evaluated)
     count(solvers._restricted, restricted_moved)
-    count(solvers._boost_once, lambda out, *_: out[1] > 0.0)
+    count(solvers._boost_once, lambda out, *_, **__: out[1] > 0.0)
     # the start is the one positivity-repaired measure; refine rounds split
     # against the evaluation's own steepest-gradient measure
-    count(solvers.psg_measure, lambda out, *_: 0)
+    count(solvers.psg_measure, lambda out, *_, **__: 0)
     # every move hands its factorization to its iterate's evaluation, so only
     # starts, full-pool checks and renormalized restricted exits assemble M
-    count(solvers.build_info_state, lambda out, *_: 0)
+    count(solvers.build_info_state, lambda out, *_, **__: 0)
     # N = 5 / eps runs the whole-pool loop; N = 10 / eps is screened
     for N in (150, 300):
         calls.clear()
@@ -435,6 +589,7 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
         if N == 150:
             assert res.working_set == N and res.iterations["screen"] == 0
             assert calls["_evaluate"] == calls["moves"] + 1 == len(res.trace)
+            assert calls["fresh _evaluate"] == 1
             assert calls["build_info_state"] == 1 + calls["renormalized"]
             continue
         # every move is made on the working set, and the full pool is
@@ -446,6 +601,7 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
         assert calls["_evaluate"] - checks == calls["moves"] + 1 == len(res.trace)
         assert checks == 1 and res.iterations["screen"] == 2
         assert calls["full-pool build_info_state"] == checks
+        assert calls["fresh _evaluate"] == 1 + checks
         assert calls["build_info_state"] == 1 + checks + calls["renormalized"]
 
 
@@ -518,6 +674,60 @@ def test_efficiency_bounds_bracket(rng):
     assert phi_bad * eb.certified_lower_bound <= res.phi_value * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("v", [1e-3, 1e-6])
+def test_certified_bound_is_the_ratio_times_one_minus_the_gap(rng, v):
+    # certified = ratio * (1 - max(gap, 0)) on the carried route (the solved
+    # measure) and the fresh one (a bare copy of its weights), with the gap
+    # recomputed here from a fresh assembly, the scores and a linear maximum
+    X = gaussian_pool(rng, 40, 3)
+    spec, eps = CriterionSpec(p=1.0), 0.1
+    res = solve_hybrid(X, spec, _cfg(eps, v0=1e-3, v=v))
+    aset = as_atom_set(X)
+    state = build_info_state(aset, res.w, spec)
+    scores = phi_p_scores(aset, state, spec)
+    lin = float(solvers._greedy_linear_max(scores, eps, 1.0) @ scores)
+    gap = (lin - state.phi_value) / state.phi_value
+    assert 0.0 < gap <= v
+    cand = measure_of_sample(round_to_sample(res.w, 10, res.scores), 40)
+    phi_cand = build_info_state(aset, cand, spec).phi_value
+    for solved in (res.w, Measure(res.w.weights, eps)):
+        eb = efficiency_bounds(cand, solved, aset, spec)
+        assert eb.solved_gap_ratio == pytest.approx(gap, rel=1e-6, abs=1e-12)
+        assert eb.ratio == pytest.approx(state.phi_value / phi_cand, rel=1e-12)
+        expected = eb.ratio * (1.0 - max(eb.solved_gap_ratio, 0.0))
+        assert eb.certified_lower_bound == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_converged_exactly_when_the_gap_reaches_the_target(monkeypatch):
+    # solves cut short by the refine-round cap leave gaps just above the
+    # target, some of them within ten times it; none of those is converged
+    X = gaussian_pool(np.random.default_rng(2), 60, 4)
+    cfg = _cfg(1.0 / 10, v=1e-9)
+    near = 0
+    for rounds in range(1, 9):
+        monkeypatch.setattr(solvers, "MAX_OUTER_ITERS", rounds)
+        res = solve_hybrid(X, CriterionSpec(p=0.0), cfg)
+        assert res.converged == (res.gap_ratio <= cfg.target_gap)
+        near += cfg.target_gap < res.gap_ratio <= 10.0 * cfg.target_gap
+    assert near >= 1
+    monkeypatch.undo()
+    res = solve_hybrid(X, CriterionSpec(p=0.0), cfg)
+    assert res.converged and res.gap_ratio <= cfg.target_gap
+
+
+def test_rescaled_pool_solves_to_the_same_criterion_value():
+    # Phi_1 scales as 1 / s^2 with the rows; the s = 1e6 pool falls back from
+    # the screen to the whole pool
+    X = np.random.default_rng(0).standard_normal((3000, 6))
+    spec, cfg = CriterionSpec(p=1.0), _cfg(0.01)
+    base = solve_hybrid(X, spec, cfg)
+    assert base.converged
+    for s in (1e2, 1e4, 1e6):
+        res = solve_hybrid(X * s, spec, cfg)
+        assert res.converged, s
+        assert abs(res.phi_value * s * s / base.phi_value - 1.0) <= 1e-9, s
+
+
 def test_screened_solve_makes_two_full_pool_passes(monkeypatch):
     # per screened solve: the uniform start's scores and the refine round's
     # certifying check, with the pilot judged on the working set and a strided
@@ -572,30 +782,31 @@ def test_efficiency_bounds_reuse_the_solve_evaluation(monkeypatch):
     pinned = _two_stage_on_a_logistic_pool(cfg).solve
     atoms = pinned.w.certificate.atoms
     free = solve_hybrid(atoms, spec, cfg)
-    evaluations = Counter()
-    evaluate = solvers._evaluate
+    assemblies = Counter()
+    build = solvers.build_info_state
 
     def counted(aset, *args, **kwargs):
-        evaluations["full pool"] += len(aset) == 400
-        return evaluate(aset, *args, **kwargs)
-    monkeypatch.setattr(solvers, "_evaluate", counted)
+        assemblies["full pool"] += len(aset) == 400
+        return build(aset, *args, **kwargs)
+    monkeypatch.setattr(solvers, "build_info_state", counted)
     for res in (pinned, free):
         cand = measure_of_sample(round_to_sample(res.w, 30, res.scores), 400)
         bare = Measure(res.w.weights, res.w.epsilon)
         assert bare.certificate is None and np.array_equal(bare.weights, res.w.weights)
-        evaluations.clear()
+        # the candidate's information is assembled on either route
+        assemblies.clear()
         held = efficiency_bounds(cand, res.w, atoms, spec)
-        assert evaluations["full pool"] == 0
+        assert assemblies["full pool"] == 1
         assert held == efficiency_bounds(cand, bare, atoms, spec)
-        assert evaluations["full pool"] == 1
-        # another pool object over the same rows, or another p or G, is evaluated
-        evaluations.clear()
+        assert assemblies["full pool"] == 3
+        # another pool object over the same rows, or another p or G, is assembled
+        assemblies.clear()
         assert efficiency_bounds(cand, res.w, AtomSet.from_vectors(atoms.rows), spec) == held
         others = (CriterionSpec(p=1.0), CriterionSpec(p=0.0, G=np.eye(3)[1:]))
         for other in others:
             assert efficiency_bounds(cand, res.w, atoms, other) == \
                 efficiency_bounds(cand, bare, atoms, other)
-        assert evaluations["full pool"] == 1 + 2 * len(others)
+        assert assemblies["full pool"] == 2 * (1 + 2 * len(others))
 
 
 def test_sampled_pilot_miss_is_confirmed_on_the_full_pool(monkeypatch):
@@ -752,7 +963,7 @@ def test_screened_solve_certifies_on_the_full_pool(seed, n, width, k, p, pins):
     spec, cfg = CriterionSpec(p=p), _cfg(1.0 / n, v=v)
     res = solve_hybrid(X, spec, cfg, pinned=pinned)
     assert res.iterations["screen"] >= 1
-    assert res.trace.is_monotone()
+    assert is_monotone(res.trace)
     _assert_full_pool_result(X, res, spec, v, pinned)
     whole = _whole_pool(X, spec, cfg, pinned=pinned)
     assert abs(res.phi_value / whole.phi_value - 1.0) <= v / (1.0 - v) + 1e-12
@@ -767,7 +978,7 @@ def test_screened_solve_on_matrix_atoms(rng):
     for spec in (CriterionSpec(p=2.0), CriterionSpec(p=1.0, G=model.beta_selector)):
         cfg = _cfg(1.0 / 20, v=v)
         res = solve_hybrid(atoms, spec, cfg)
-        assert res.working_set < 400 and res.trace.is_monotone()
+        assert res.working_set < 400 and is_monotone(res.trace)
         _assert_full_pool_result(atoms, res, spec, v)
         whole = _whole_pool(atoms, spec, cfg)
         assert abs(res.phi_value / whole.phi_value - 1.0) <= v / (1.0 - v) + 1e-12
@@ -800,6 +1011,37 @@ def test_heavy_tailed_pool_falls_back_to_the_whole_pool(monkeypatch):
     _assert_full_pool_result(X, res, spec, cfg.v)
 
 
+def test_pilot_at_the_target_is_checked_on_the_full_pool_once(monkeypatch):
+    # a pilot already at the target on its working set goes straight to the
+    # certifying check; when that check misses, the screen falls back after
+    # one full-pool evaluation, not a second one of the same weights
+    X = gaussian_pool(np.random.default_rng(0), 300, 4)
+    spec, cfg = CriterionSpec(p=1.0), _cfg(1.0 / 30)
+    boost_phase, evaluate = solvers._boost_phase, solvers._evaluate
+    full_gaps = []
+
+    def pilot_at_target(*args, until_rise):
+        ev = boost_phase(*args, until_rise=until_rise)
+        return ev if until_rise else replace(ev, gap_ratio=0.0)
+
+    def evaluated(aset, *args, **kwargs):
+        ev = evaluate(aset, *args, **kwargs)
+        if len(aset) == 300:
+            full_gaps.append(ev.gap_ratio)
+        return ev
+    monkeypatch.setattr(solvers, "_boost_phase", pilot_at_target)
+    monkeypatch.setattr(solvers, "_evaluate", evaluated)
+    monkeypatch.setattr(solvers, "_sampled_gap", lambda *args: pytest.fail("no gate"))
+    res = solve_hybrid(X, spec, cfg)
+    # the check misses the target but not SCREEN_MISS * v0, the case that
+    # once refined the unchanged pilot and checked it again
+    assert cfg.target_gap < full_gaps[0] <= solvers.SCREEN_MISS * cfg.v0
+    assert res.working_set == 300 and res.iterations["screen"] == 1
+    assert len(full_gaps) - len(res.trace) == 1
+    monkeypatch.undo()
+    _assert_same_solve(res, _whole_pool(X, spec, cfg))
+
+
 def test_undersized_working_set_falls_back_to_the_whole_pool(monkeypatch):
     # a working set of 1.5 / eps points passes the pilot but misses points of
     # the optimum, so the refined iterate's full-pool check falls short and
@@ -810,7 +1052,7 @@ def test_undersized_working_set_falls_back_to_the_whole_pool(monkeypatch):
     monkeypatch.setattr(solvers, "SCREEN_FACTOR", 1.5)
     res = solve_hybrid(X, spec, cfg)
     assert res.iterations["screen"] == 2 and res.working_set == 300
-    assert res.trace.is_monotone()
+    assert is_monotone(res.trace)
     _assert_same_solve(res, whole)
     _assert_full_pool_result(X, res, spec, cfg.v)
 

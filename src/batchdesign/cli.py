@@ -25,8 +25,8 @@ from .criteria import CriterionSpec
 from .data_io import INTERCEPT_NAME, expand_interactions, read_dataset, write_table_csv, write_weights_csv
 from .errors import DesignError, EmptyInput, FitDiverged, NonFiniteAtom, ParseError
 from .measures import SampleSet, measure_of_sample, round_to_sample
-from .models import CumulativeLinkSpec, LogisticModelSpec, cumlink_atoms, logistic_atoms, standardize_features
-from .pipeline import BOOTSTRAP_METHODS, MODEL_NAMES, bootstrap_evaluate, two_stage_select
+from .models import standardize_features
+from .pipeline import BOOTSTRAP_METHODS, MODEL_NAMES, bootstrap_evaluate, model_atoms, two_stage_select
 from .reports import make_report, write_report
 from .solvers import SolverConfig, efficiency_bounds, solve_hybrid
 
@@ -119,17 +119,22 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path, which should hold ``what``."""
+    with open(path) as fh:
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(loaded, dict):
+        raise ParseError(f"{path}: expected a JSON object of {what}")
+    return loaded
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     """The --config file's option values by flag dest, without the nulls."""
-    try:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.config}: invalid JSON ({exc})") from None
-    if not isinstance(loaded, dict):
-        raise ParseError(f"{args.config}: expected a JSON object of option values")
     values = {}
-    for key, value in loaded.items():
+    for key, value in _json_object(args.config, "option values").items():
         attr = key.replace("-", "_").lstrip("_")
         if not hasattr(args, attr):
             raise ParseError(f"{args.config}: unknown option {key!r}")
@@ -155,37 +160,19 @@ def _load_features(args):
     return Z, names, ds.y
 
 
-def _load_params(args) -> dict:
-    if not getattr(args, "params", None):
-        raise ParseError(f"--model {args.model} needs --params with working parameter values")
-    with open(args.params) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.params}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ParseError(f"{args.params}: expected a JSON object")
-    return raw
-
-
 def _build_atoms(args, Z: np.ndarray):
-    """Returns (atoms, G, model_info) for the chosen model."""
-    if args.model == "none":
-        return AtomSet.from_vectors(Z), None, {"model": "none"}
-    raw = _load_params(args)
-    if "beta" not in raw:
-        raise ParseError(f"{args.params}: missing 'beta'")
-    beta = np.asarray(raw["beta"], dtype=float)
-    if args.model == "logistic":
-        atoms = logistic_atoms(Z, LogisticModelSpec(beta))
-        return atoms, None, {"model": "logistic", "beta": beta.tolist()}
-    if "theta_cuts" not in raw:
-        raise ParseError(f"{args.params}: cumlink model needs 'theta_cuts'")
-    theta = np.asarray(raw["theta_cuts"], dtype=float)
-    spec = CumulativeLinkSpec(beta, theta)
-    G = spec.beta_selector if args.focus == "beta" else None
-    return cumlink_atoms(Z, spec), G, {"model": "cumlink", "beta": beta.tolist(),
-                                       "theta_cuts": theta.tolist()}
+    """Returns (atoms, G, model_info) for the chosen model at its --params values."""
+    info = {"model": args.model}
+    if args.model != "none":
+        if not args.params:
+            raise ParseError(f"--model {args.model} needs --params with working parameter values")
+        raw = _json_object(args.params, "working parameter values")
+        for key in ("beta", "theta_cuts") if args.model == "cumlink" else ("beta",):
+            if key not in raw:
+                raise ParseError(f"{args.params}: the {args.model} model needs {key!r}")
+            info[key] = np.asarray(raw[key], dtype=float).tolist()
+    atoms, G = model_atoms(args.model, Z, info.get("beta"), info.get("theta_cuts"), args.focus)
+    return atoms, G, info
 
 
 def _solver_config(args, n: int) -> SolverConfig:
@@ -426,6 +413,7 @@ def cmd_cross_criteria(args) -> int:
     if bad:
         raise ParseError(f"budgets out of range (0, {len(atoms)}]: {bad}")
     rows = run_cross_criteria(atoms, ns, v=float(args.v))
+    missed = [r for r in rows if not r.converged]
 
     table_path = os.path.join(_out_dir(args), "table.csv")
     write_table_csv(table_path, ["n", "a_eff_of_d", "d_eff_of_a"],
@@ -435,11 +423,15 @@ def cmd_cross_criteria(args) -> int:
         params={**source, "ns": ns},
         results={"rows": [{"n": r.n, "a_eff_of_d": float(r.a_eff_of_d),
                            "d_eff_of_a": float(r.d_eff_of_a)} for r in rows]},
+        converged=not missed,
         artifacts={"table": table_path},
     )
     for r in rows:
         print(f"n={r.n:>6}  A-eff of D-sample {r.a_eff_of_d:.4f}  D-eff of A-sample {r.d_eff_of_a:.4f}")
-    return EXIT_OK
+    for r in missed:
+        print(f"warning: at n = {r.n} a solve stopped at gap_ratio {r.gap_ratio:.3e}, above its "
+              "target", file=sys.stderr)
+    return EXIT_NONCONVERGED if missed else EXIT_OK
 
 
 def _labeled_data(args):

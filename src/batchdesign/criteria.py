@@ -21,7 +21,7 @@ the criterion value, which anchors the optimality-gap computations here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,14 +60,14 @@ class CriterionSpec:
 
 @dataclass(frozen=True)
 class InfoState:
-    """Cached factorizations for one (atoms, weights, spec) evaluation point."""
+    """Cached factorizations of one evaluation point, and the spec they serve."""
 
     M: np.ndarray
     M_inv: np.ndarray
     sigma_eigvals: np.ndarray
     sigma_eigvecs: np.ndarray
     phi_value: float
-    identity_g: bool = field(default=True, repr=False)
+    spec: CriterionSpec
 
 
 def _phi_from_eigs(lam: np.ndarray, p: float, q: int) -> float:
@@ -109,7 +109,7 @@ def info_state_from_m(M: np.ndarray, spec: CriterionSpec) -> InfoState:
         sig_lam, sig_vec = np.linalg.eigh(Sigma)
     sig_lam = np.maximum(sig_lam, EIG_FLOOR)
     phi = _phi_from_eigs(sig_lam, spec.p, sig_lam.shape[0])
-    return InfoState(M, M_inv, sig_lam, sig_vec, phi, identity_g=spec.G is None)
+    return InfoState(M, M_inv, sig_lam, sig_vec, phi, spec)
 
 
 def build_info_state(atoms, w, spec: CriterionSpec) -> InfoState:
@@ -119,15 +119,12 @@ def build_info_state(atoms, w, spec: CriterionSpec) -> InfoState:
     when the weighted information is rank deficient and DimensionMismatch
     when shapes disagree.
     """
-    aset = as_atom_set(atoms)
-    weights = np.asarray(getattr(w, "weights", w), dtype=float)
-    if weights.shape[0] != len(aset):
-        raise DimensionMismatch(f"{weights.shape[0]} weights for {len(aset)} atoms")
-    return info_state_from_m(aset.weighted_sum(weights), spec)
+    weights = getattr(w, "weights", w)
+    return info_state_from_m(as_atom_set(atoms).weighted_sum(weights), spec)
 
 
-def phi_p_scores(atoms, state: InfoState, spec: CriterionSpec) -> np.ndarray:
-    """Generalized leverage of every pool point at the weighting behind state.
+def phi_p_scores(atoms, state: InfoState) -> np.ndarray:
+    """Generalized leverage of every pool point at the weighting and criterion of state.
 
     phi_p(x, w) = coef * Tr(B M_x) with B = M^-1 G^T Sigma^(p-1) G M^-1; for
     the identity transform the Sigma eigenbasis collapses B to a single
@@ -136,12 +133,10 @@ def phi_p_scores(atoms, state: InfoState, spec: CriterionSpec) -> np.ndarray:
     aset = as_atom_set(atoms)
     lam = state.sigma_eigvals
     q = lam.shape[0]
-    p = spec.p
+    p, G = state.spec.p, state.spec.G
     tr_p = float(q) if p == 0.0 else float(np.sum(lam**p))
     coef = state.phi_value / tr_p
-    if state.identity_g != (spec.G is None):
-        raise DimensionMismatch("the state and spec disagree on G; build the state with this spec")
-    if spec.G is None:
+    if G is None:
         if p == 0.0:
             B = state.M_inv
         else:
@@ -150,12 +145,12 @@ def phi_p_scores(atoms, state: InfoState, spec: CriterionSpec) -> np.ndarray:
     else:
         V = state.sigma_eigvecs
         W = (V * lam ** (p - 1.0)) @ V.T
-        C = state.M_inv @ spec.G.T
+        C = state.M_inv @ G.T
         B = C @ W @ C.T
     return coef * aset.quad_forms(0.5 * (B + B.T))
 
 
-def _blend_curvature(state: InfoState, M1: np.ndarray, spec: CriterionSpec) -> float:
+def _blend_curvature(state: InfoState, M1: np.ndarray) -> float:
     """Second derivative at alpha = 0 of the criterion along (1 - alpha) M + alpha M1.
 
     In the Sigma eigenbasis, with C = M^-1 G^T V and D = M1 - M, Sigma moves by
@@ -165,8 +160,8 @@ def _blend_curvature(state: InfoState, M1: np.ndarray, spec: CriterionSpec) -> f
     sum Gamma_ij A_ij^2, so Phi_p'' = Phi_p (T2 / tr + (1 - p) (T1 / tr)^2) with
     tr as in phi_p_scores.  Factorizes nothing; clamped at zero against roundoff.
     """
-    lam, V, p = state.sigma_eigvals, state.sigma_eigvecs, spec.p
-    C = state.M_inv @ (V if spec.G is None else spec.G.T @ V)
+    lam, V, p, G = state.sigma_eigvals, state.sigma_eigvecs, state.spec.p, state.spec.G
+    C = state.M_inv @ (V if G is None else G.T @ V)
     E = (M1 - state.M) @ C
     A = -C.T @ E
     b_diag = 2.0 * np.einsum("ij,ij->j", E, state.M_inv @ E)

@@ -222,21 +222,19 @@ def project_capped_simplex(v, epsilon: float, mass: float) -> np.ndarray:
     return u
 
 
-def _check_pinned(pinned, N: int) -> np.ndarray | None:
-    """Pinned points as sorted distinct indices; None when there are none.
+def _check_pinned(pinned, N: int) -> np.ndarray:
+    """Pinned points as sorted distinct intp indices, empty when there are none.
 
-    A boolean mask must have one entry per point.  Indices must be integers
-    in [0, N); a repeated index pins its point once.
+    None pins nothing.  A boolean mask must have one entry per point.
+    Indices must be integers in [0, N); a repeated index pins its point once.
     """
-    if pinned is None:
-        return None
-    pinned = np.atleast_1d(np.asarray(pinned))
+    pinned = np.atleast_1d(np.asarray([] if pinned is None else pinned))
     if pinned.dtype == bool:
         if pinned.shape != (N,):
             raise DimensionMismatch(f"pinned mask has shape {pinned.shape} for {N} points")
         pinned = np.flatnonzero(pinned)
     elif pinned.size == 0:
-        return None
+        return np.zeros(0, dtype=np.intp)
     elif pinned.ndim != 1 or pinned.dtype.kind not in "iu":
         raise DimensionMismatch(
             f"pinned must be a mask or a vector of integer indices, got {pinned.dtype} "
@@ -245,8 +243,7 @@ def _check_pinned(pinned, N: int) -> np.ndarray | None:
         bad = pinned[(pinned < 0) | (pinned >= N)][0]
         raise DimensionMismatch(f"pinned index {bad} outside [0, {N})")
     # intp, so that joining them to other indices keeps an integer dtype
-    pinned = _sorted_unique(pinned).astype(np.intp, copy=False)
-    return pinned if pinned.size else None
+    return _sorted_unique(pinned).astype(np.intp, copy=False)
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -264,7 +261,6 @@ def round_to_sample(w: Measure, n: int, scores, pinned=None) -> SampleSet:
     if not 0 < n <= weights.shape[0]:
         raise ValueError(f"cannot take {n} points from a pool of {weights.shape[0]}")
     pinned = _check_pinned(pinned, weights.shape[0])
-    pinned = np.zeros(0, dtype=np.intp) if pinned is None else pinned
     need = n - pinned.size
     if need < 0:
         raise ValueError(f"{pinned.size} pinned points exceed the budget n = {n}")
@@ -272,9 +268,7 @@ def round_to_sample(w: Measure, n: int, scores, pinned=None) -> SampleSet:
     if scores.shape != weights.shape:
         raise DimensionMismatch(f"scores of shape {scores.shape} for a pool of {weights.shape[0]}")
     neg = -weights
-    if pinned.size:
-        neg = neg.copy()
-        neg[pinned] = np.inf
+    neg[pinned] = np.inf
     # only points at or above the need-th largest weight can be taken
     cand = np.flatnonzero(neg <= np.partition(neg, need - 1)[need - 1])
     order = np.lexsort((cand, -scores[cand], neg[cand]))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atoms import AtomSet
 from .criteria import CriterionSpec
 from .errors import FitDiverged
 from .fitting import fit_cumlink, fit_logistic
@@ -39,13 +40,18 @@ def _check_budget(n: int, N: int, r_frac: float) -> None:
         raise ValueError(f"stage-one fraction r = {r_frac} must lie in (0, 1]")
 
 
-def _atoms_for(model: str, Z: np.ndarray, fit):
-    """Atoms at the fitted parameters, and the transform of interest: all
-    coefficients for logistic, the regression block for cumulative-link."""
+def model_atoms(model: str, Z, beta=None, theta_cuts=None, focus: str = "all"):
+    """(atoms, G) of a model ("none": rows of Z as regression vectors) at its
+    working parameters; G, the transform of interest, is the regression block
+    of a cumulative-link model when focus is "beta", else None (all)."""
+    if model == "none":
+        return AtomSet.from_vectors(Z), None
     if model == "logistic":
-        return logistic_atoms(Z, LogisticModelSpec(fit.beta)), None
-    spec = CumulativeLinkSpec(fit.beta, fit.theta_cuts)
-    return cumlink_atoms(Z, spec), spec.beta_selector
+        return logistic_atoms(Z, LogisticModelSpec(beta)), None
+    if model == "cumlink":
+        spec = CumulativeLinkSpec(beta, theta_cuts)
+        return cumlink_atoms(Z, spec), spec.beta_selector if focus == "beta" else None
+    raise ValueError(f"unknown model {model!r}; available: none, {', '.join(MODEL_NAMES)}")
 
 
 @dataclass
@@ -75,7 +81,8 @@ def two_stage_select(Z, y, model: str, n: int, r_frac: float, p: float,
         return TwoStageResult(stage1, stage1, None, None, p, n, r_frac)
 
     fit = _fit_model(model, Z[stage1_idx], y[stage1_idx])
-    atoms, G = _atoms_for(model, Z, fit)
+    # the regression block is what the refit estimates
+    atoms, G = model_atoms(model, Z, fit.beta, getattr(fit, "theta_cuts", None), focus="beta")
     spec = CriterionSpec(p=p, G=G)
     eps = cfg.epsilon if cfg.epsilon is not None else 1.0 / n
     cfg = replace(cfg, epsilon=eps)
@@ -174,10 +181,9 @@ def bootstrap_evaluate(Z, y, model: str, methods, n: int, r_frac: float, p: floa
 
     kept = [r for r in results if r is not None]
     failed = B - len(kept)
+    # an empty kept fails here too: failed = B > 0.05 * B
     if failed > 0.05 * B:
         raise FitDiverged(f"{failed} of {B} bootstrap replicates failed to fit")
-    if not kept:
-        raise FitDiverged("all bootstrap replicates failed")
 
     stats = []
     for method in methods:

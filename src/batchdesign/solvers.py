@@ -146,10 +146,12 @@ class TraceRecord:
 
 
 class SolveTrace:
-    """Accepted-iterate history of a solve."""
+    """Accepted-iterate history of a solve; wall times count from its entry,
+    and wall_time is the solve's own."""
 
     def __init__(self):
         self.records: list[TraceRecord] = []
+        self.wall_time = 0.0
 
     def add(self, **kw) -> None:
         self.records.append(TraceRecord(**kw))
@@ -158,11 +160,15 @@ class SolveTrace:
         return len(self.records)
 
     def phase_seconds(self) -> dict[str, float]:
+        """Seconds per phase, summing to wall_time: each record's phase is
+        charged the time since the one before, the last also the time after."""
         out: dict[str, float] = {}
         prev = 0.0
         for rec in self.records:
             out[rec.phase] = out.get(rec.phase, 0.0) + max(rec.wall_time - prev, 0.0)
             prev = rec.wall_time
+        if self.records:
+            out[self.records[-1].phase] += max(self.wall_time - prev, 0.0)
         return out
 
 
@@ -204,11 +210,11 @@ class EfficiencyBounds:
 @dataclass(frozen=True)
 class _Certificate:
     """A solve's last full-pool evaluation, carried by the measure it returns:
-    Phi_p and the scores of that measure on atoms under spec."""
+    the InfoState of that measure on atoms, which holds its criterion and
+    Phi_p, and its scores."""
 
     atoms: AtomSet
-    spec: CriterionSpec
-    phi_value: float
+    state: InfoState
     scores: np.ndarray
 
 
@@ -232,28 +238,25 @@ class _Eval:
         return active_set_split(self.w, self.sg)
 
 
-def _pin_scores(scores: np.ndarray, pinned: np.ndarray | None) -> np.ndarray:
-    if pinned is None:
-        return scores
+def _pin_scores(scores: np.ndarray, pinned: np.ndarray) -> np.ndarray:
     doctored = scores.copy()
     doctored[pinned] = float(scores.max()) + 1.0
     return doctored
 
 
-def _evaluate(aset: AtomSet, w: Measure, spec: CriterionSpec,
-              pinned: np.ndarray | None = None, state: InfoState | None = None) -> _Eval:
+def _evaluate(aset: AtomSet, w: Measure, spec: CriterionSpec, pinned: np.ndarray,
+              state: InfoState | None = None) -> _Eval:
     """Evaluate w; a given state, made by the move to w, stands for M(w)'s assembly."""
     if state is None:
         state = build_info_state(aset, w, spec)
-    scores = phi_p_scores(aset, state, spec)
+    scores = phi_p_scores(aset, state)
     sg = sg_measure(_pin_scores(scores, pinned), w.epsilon)
     lin = float(sg.weights @ scores)
     gap_ratio = (lin - state.phi_value) / state.phi_value
     return _Eval(w, state, scores, sg, lin, gap_ratio)
 
 
-def _boost_once(aset: AtomSet, ev: _Eval,
-                spec: CriterionSpec) -> tuple[Measure, float, InfoState]:
+def _boost_once(aset: AtomSet, ev: _Eval) -> tuple[Measure, float, InfoState]:
     """Step from ev.w toward ev.sg by the quadratic model's alpha, at most 1,
     halved until Phi_p does not rise: (measure, alpha, the accepted trial's
     InfoState of (1 - alpha) M + alpha M_sg), or (ev.w, 0, ev.state)."""
@@ -263,12 +266,12 @@ def _boost_once(aset: AtomSet, ev: _Eval,
         return ev.w, 0.0, ev.state
     M_sg = aset.weighted_sum(ev.sg.weights)
     # eta < 0 and tau >= 0 here, so the step is positive
-    tau_value = _blend_curvature(ev.state, M_sg, spec)
+    tau_value = _blend_curvature(ev.state, M_sg)
     alpha = min(1.0, -eta_value / (tau_value + BOOST_CURVATURE_REG))
     phi0 = ev.state.phi_value
     for _ in range(21):
         try:
-            trial = info_state_from_m((1.0 - alpha) * ev.state.M + alpha * M_sg, spec)
+            trial = info_state_from_m((1.0 - alpha) * ev.state.M + alpha * M_sg, ev.state.spec)
             if trial.phi_value <= phi0 + PHI_SLACK:
                 break
         except SingularInformation:
@@ -281,7 +284,7 @@ def _boost_once(aset: AtomSet, ev: _Eval,
     return Measure(wts, ev.w.epsilon), alpha, trial
 
 
-def _restricted(aset: AtomSet, ev: _Eval, spec: CriterionSpec, pinned: np.ndarray | None,
+def _restricted(aset: AtomSet, ev: _Eval, pinned: np.ndarray,
                 run: _Run) -> tuple[Measure, InfoState]:
     """Minimize the criterion with bound-agreeing coordinates pinned.
 
@@ -302,12 +305,11 @@ def _restricted(aset: AtomSet, ev: _Eval, spec: CriterionSpec, pinned: np.ndarra
     Returns (measure, InfoState): (w, ev.state) when w is kept, else the
     closing fresh assembly, or a fresh build of renormalized weights.
     """
-    w, eps = ev.w, ev.w.epsilon
+    w, eps, spec = ev.w, ev.w.epsilon, ev.state.spec
     t1, t2 = ev.split
-    if pinned is not None:
-        t1 = t1.copy()
-        t1[pinned] = True
-        t2 = t2 & ~t1
+    t1 = t1.copy()
+    t1[pinned] = True
+    t2 = t2 & ~t1
     free = ~(t1 | t2)
     if not free.any():
         return w, ev.state
@@ -330,7 +332,7 @@ def _restricted(aset: AtomSet, ev: _Eval, spec: CriterionSpec, pinned: np.ndarra
 
     # nonmonotone spectral projected gradient (Birgin, Martinez & Raydan 2000)
     # on the free coordinates; grad holds the scores, the negated gradient
-    grad = phi_p_scores(free_atoms, state, spec)
+    grad = phi_p_scores(free_atoms, state)
     recent = deque([state.phi_value], maxlen=NONMONOTONE_WINDOW)
     best_wf, best_phi = wf, state.phi_value
     alpha = eps / max(float(grad.max() - grad.min()), 1e-12)
@@ -368,7 +370,7 @@ def _restricted(aset: AtomSet, ev: _Eval, spec: CriterionSpec, pinned: np.ndarra
         if accepted is None:
             break
         s_step = t * d
-        grad_next = phi_p_scores(free_atoms, accepted, spec)
+        grad_next = phi_p_scores(free_atoms, accepted)
         sty = float(s_step @ (grad - grad_next))
         alpha = min(float(s_step @ s_step) / sty if sty > 0.0 else alpha * BB_GROW, ALPHA_MAX)
         wf, state, grad = wf + s_step, accepted, grad_next
@@ -414,7 +416,7 @@ class _Run:
     cap_hits: int = 0
 
 
-def _record(aset: AtomSet, spec: CriterionSpec, pinned: np.ndarray | None, run: _Run,
+def _record(aset: AtomSet, spec: CriterionSpec, pinned: np.ndarray, run: _Run,
             phase: str, alpha: float, w: Measure, state: InfoState | None = None) -> _Eval:
     """Evaluate the iterate w, from the InfoState the move to it made when
     given, and append its trace record."""
@@ -427,7 +429,7 @@ def _record(aset: AtomSet, spec: CriterionSpec, pinned: np.ndarray | None, run: 
 
 
 def _boost_phase(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig,
-                 pinned: np.ndarray | None, run: _Run, ev: _Eval, until_rise: bool) -> _Eval:
+                 pinned: np.ndarray, run: _Run, ev: _Eval, until_rise: bool) -> _Eval:
     """Boost from the recorded evaluation ev while the gap is above v0 and
     fewer than MAX_BOOST_ITERS steps were taken, up to a zero step; with
     until_rise, also up to the first boost whose gap rose above its start's,
@@ -437,7 +439,7 @@ def _boost_phase(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig,
     while (ev.gap_ratio > cfg.v0 and run.iterations["boost"] < MAX_BOOST_ITERS
            and not (until_rise and ev.gap_ratio > gap_from)):
         gap_from = ev.gap_ratio
-        w, alpha, state = _boost_once(aset, ev, spec)
+        w, alpha, state = _boost_once(aset, ev)
         run.iterations["boost"] += 1
         if alpha == 0.0:
             break
@@ -446,7 +448,7 @@ def _boost_phase(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig,
 
 
 def _refine_phase(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig,
-                  pinned: np.ndarray | None, run: _Run, ev: _Eval) -> _Eval:
+                  pinned: np.ndarray, run: _Run, ev: _Eval) -> _Eval:
     """Restricted solves (see _restricted) from the recorded evaluation ev
     while the gap is above v and fewer than MAX_OUTER_ITERS rounds have run;
     a round that stalled is followed by one boost step.  Returns the last
@@ -455,20 +457,20 @@ def _refine_phase(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig,
     while ev.gap_ratio > cfg.v and run.iterations["refine"] < MAX_OUTER_ITERS:
         if stalled:
             stalled = False
-            w, alpha, state = _boost_once(aset, ev, spec)
+            w, alpha, state = _boost_once(aset, ev)
             if alpha > 0.0:
                 ev = _record(aset, spec, pinned, run, "boost", alpha, w, state)
                 continue
         phi_old = ev.state.phi_value
-        move = _restricted(aset, ev, spec, pinned, run)
+        move = _restricted(aset, ev, pinned, run)
         ev = _record(aset, spec, pinned, run, "refine", 0.0, *move)
         run.iterations["refine"] += 1
         stalled = phi_old - ev.state.phi_value < STALL_RTOL * abs(phi_old)
     return ev
 
 
-def _sampled_gap(aset: AtomSet, ws: np.ndarray, ev_sub: _Eval, spec: CriterionSpec,
-                 eps: float, pin_sub: np.ndarray | None) -> float:
+def _sampled_gap(aset: AtomSet, ws: np.ndarray, ev_sub: _Eval, eps: float,
+                 pin_sub: np.ndarray) -> float:
     """Estimated full-pool gap of a working-set iterate with evaluation ev_sub.
 
     The working set keeps the scores ev_sub holds; every PILOT_SAMPLE_STRIDE-th
@@ -479,7 +481,7 @@ def _sampled_gap(aset: AtomSet, ws: np.ndarray, ev_sub: _Eval, spec: CriterionSp
     sample = aset.subset(slice(None, None, stride))
     outside = np.ones(len(sample), dtype=bool)
     outside[ws[ws % stride == 0] // stride] = False
-    sampled = phi_p_scores(sample, ev_sub.state, spec)[outside]
+    sampled = phi_p_scores(sample, ev_sub.state)[outside]
     scores = np.concatenate([ev_sub.scores, np.repeat(sampled, stride)])
     u = _greedy_linear_max(_pin_scores(scores, pin_sub), eps, 1.0)
     phi = ev_sub.state.phi_value
@@ -487,7 +489,7 @@ def _sampled_gap(aset: AtomSet, ws: np.ndarray, ev_sub: _Eval, spec: CriterionSp
 
 
 def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
-            pinned: np.ndarray | None, scores_u: np.ndarray,
+            pinned: np.ndarray, scores_u: np.ndarray,
             run: _Run) -> tuple[_Eval, int] | None:
     """Solve on a working set, certifying the result on the full pool.
 
@@ -504,9 +506,9 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
     """
     N, m = len(aset), _count(SCREEN_FACTOR / eps)
     ws = np.argpartition(-scores_u, m - 1)[:m]
-    ws = _sorted_unique(np.concatenate([ws, pinned])) if pinned is not None else np.sort(ws)
+    ws = _sorted_unique(np.concatenate([ws, pinned]))
     sub = aset.subset(ws)
-    pin_sub = None if pinned is None else np.searchsorted(ws, pinned)
+    pin_sub = np.searchsorted(ws, pinned)
 
     def check(ev_sub):
         wts = np.zeros(N)
@@ -519,7 +521,7 @@ def _screen(aset: AtomSet, spec: CriterionSpec, cfg: SolverConfig, eps: float,
     run.iterations["screen"] += 1
     if cfg.refine_enabled and ev_sub.gap_ratio > cfg.target_gap:
         miss = SCREEN_MISS * cfg.v0
-        if (_sampled_gap(aset, ws, ev_sub, spec, eps, pin_sub) > miss
+        if (_sampled_gap(aset, ws, ev_sub, eps, pin_sub) > miss
                 and check(ev_sub).gap_ratio > miss):
             return None
         ev_sub = _refine_phase(sub, spec, cfg, pin_sub, run, ev_sub)
@@ -537,11 +539,13 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     refine phase until it reaches v (skipped when v >= v0).  A pool of more
     than SCREEN_FACTOR / eps points is first solved on a working set (see
     _screen), and on the whole pool when that falls short; the returned
-    weights, scores and gap are always those of the full pool.  ``pinned`` points (a mask or integer indices) are held at the cap
-    throughout, which is how already-purchased points enter.  The returned
-    measure carries its full-pool evaluation (Phi_p and the read-only
-    scores, with the pool and criterion), which efficiency_bounds reuses.
+    weights, scores and gap are always those of the full pool.  ``pinned``
+    points (a mask or integer indices) are held at the cap throughout, which
+    is how already-purchased points enter.  The returned measure carries its
+    full-pool evaluation (Phi_p and the read-only scores, with the pool and
+    criterion), which efficiency_bounds reuses.
     """
+    t0 = time.perf_counter()
     aset = as_atom_set(atoms)
     if cfg.epsilon is None:
         raise ValueError("cfg.epsilon must be set")
@@ -551,12 +555,12 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
     N = len(aset)
     _check_capacity(N, eps)
     pinned = _check_pinned(pinned, N)
-    if pinned is not None and pinned.size * eps > 1.0 + 1e-9:
+    if pinned.size * eps > 1.0 + 1e-9:
         raise InfeasibleEpsilon("pinned points alone exceed total mass one")
 
     state_u = info_state_from_m(aset.uniform_information(), spec)
-    scores_u = phi_p_scores(aset, state_u, spec)
-    run = _Run(SolveTrace(), time.perf_counter(), {"boost": 0, "refine": 0, "screen": 0})
+    scores_u = phi_p_scores(aset, state_u)
+    run = _Run(SolveTrace(), t0, {"boost": 0, "refine": 0, "screen": 0})
     screened = None
     if _count(SCREEN_FACTOR / eps) < N:
         try:
@@ -577,7 +581,8 @@ def solve_hybrid(atoms, spec: CriterionSpec, cfg: SolverConfig,
         ev, working_set = screened
     converged = bool(ev.gap_ratio <= cfg.target_gap)
     ev.scores.setflags(write=False)
-    w = Measure(ev.w.weights, eps, _Certificate(aset, spec, ev.state.phi_value, ev.scores))
+    w = Measure(ev.w.weights, eps, _Certificate(aset, ev.state, ev.scores))
+    run.trace.wall_time = time.perf_counter() - t0
     return SolveResult(w=w, trace=run.trace, converged=converged, gap_ratio=ev.gap_ratio,
                        phi_value=ev.state.phi_value, scores=ev.scores,
                        iterations=run.iterations, working_set=working_set,
@@ -604,11 +609,11 @@ def efficiency_bounds(w_candidate: Measure, w_solved: Measure, atoms,
             f"{w_solved.epsilon:.6g}, so the certificate does not apply")
     phi_candidate = build_info_state(aset, w_candidate, spec).phi_value
     cert = w_solved.certificate
-    if cert is not None and cert.atoms is aset and _same_criterion(cert.spec, spec):
-        phi, scores = cert.phi_value, cert.scores
+    if cert is not None and cert.atoms is aset and _same_criterion(cert.state.spec, spec):
+        phi, scores = cert.state.phi_value, cert.scores
     else:
         state = build_info_state(aset, w_solved, spec)
-        phi, scores = state.phi_value, phi_p_scores(aset, state, spec)
+        phi, scores = state.phi_value, phi_p_scores(aset, state)
     lin = float(sg_measure(scores, w_solved.epsilon).weights @ scores)
     gap = (lin - phi) / phi
     ratio = phi / phi_candidate

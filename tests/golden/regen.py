@@ -1,8 +1,11 @@
 """Seeded solves of the golden corpus, and the script that rewrites it.
 
 Each instance is a pool family at fixed sizes and seed; ``run`` solves it,
-rounds the relaxation to its sample and certifies the sample.  Running this
-file rewrites ``solves.json`` next to it:
+rounds the relaxation to its sample and certifies the sample.  A bootstrap
+instance records each method's total MSE instead, and a CLI instance runs a
+subcommand on a CSV written from its pool and records the exit code and the
+``report.json`` keys as well.  Running this file rewrites ``solves.json``
+next to it:
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from batchdesign import (
     CumulativeLinkSpec,
     LogisticModelSpec,
     SolverConfig,
+    bootstrap_evaluate,
     cumlink_atoms,
     efficiency_bounds,
     logistic_atoms,
@@ -29,6 +34,8 @@ from batchdesign import (
     solve_hybrid,
     two_stage_select,
 )
+from batchdesign.cli import main as cli_main
+from batchdesign.reports import strip_volatile
 
 CORPUS = pathlib.Path(__file__).with_name("solves.json")
 # the sample is recorded as exact only when the n-th and (n+1)-th largest
@@ -49,6 +56,16 @@ def _logistic(seed, N):
     beta = np.array([-0.5, 1.0, -0.8, 0.6, 0.4])
     y = (rng.random(N) < 1.0 / (1.0 + np.exp(-Z @ beta))).astype(int)
     return Z, y, beta
+
+
+def _ordinal(seed, N):
+    """Features and proportional-odds responses 0..2 of a cumulative-link pool."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((N, 2))
+    beta, cuts = np.array([0.8, -0.5]), np.array([-0.5, 0.7])
+    cum = 1.0 / (1.0 + np.exp(-(cuts[None, :] - (Z @ beta)[:, None])))
+    y = (rng.random(N)[:, None] > cum).sum(axis=1)
+    return Z, y, beta, cuts
 
 
 def _instances():
@@ -73,6 +90,13 @@ def _instances():
     out.append(dict(family="logistic", seed=1, N=1900, n=600, p=1.0, pins=240))
     # the two-stage workflow end to end
     out.append(dict(family="two-stage", seed=5, N=6000, n=150, p=1.0))
+    # second slice: a bootstrap, a cumulative-link two-stage run, and the CLI
+    out.append(dict(family="bootstrap", seed=6, N=1500, n=150, p=1.0, B=4))
+    out.append(dict(family="two-stage-cumlink", seed=7, N=2000, n=100, p=1.0))
+    out.append(dict(family="cli-select", seed=8, N=2000, n=60, p=1.0))
+    out.append(dict(family="cli-select-cumlink", seed=9, N=800, n=60, p=1.0))
+    out.append(dict(family="cli-efficiency", seed=10, N=600, n=50, p=0.0, v=1e-8))
+    out.append(dict(family="cli-two-stage", seed=11, N=1500, n=100, p=1.0))
     for inst in out:
         inst.setdefault("v", 1e-6)
         inst["name"] = "-".join(f"{k}={v}" for k, v in inst.items())
@@ -99,23 +123,101 @@ def _problem(inst):
     return logistic_atoms(Z, LogisticModelSpec(beta)), CriterionSpec(p=inst["p"]), pinned
 
 
-def _exact(res, n, pinned):
-    free = res.w.weights.copy()
+def _exact(weights, n, pinned, eps):
+    free = np.array(weights, dtype=float)
     if pinned is not None:
         free[pinned] = np.inf
     top = np.sort(free)[::-1]
-    return bool(top[n - 1] - top[n] > TIE_MARGIN * res.w.epsilon)
+    return bool(top[n - 1] - top[n] > TIE_MARGIN * eps)
+
+
+def _write_csv(path, Z, y=None):
+    header = [f"x{j + 1}" for j in range(Z.shape[1])] + ([] if y is None else ["y"])
+    rows = Z if y is None else np.column_stack([Z, y])
+    lines = [",".join(header)] + [",".join(f"{x:.17g}" for x in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _report_keys(report):
+    """The top-level keys of a report and the keys of its sections."""
+    report = strip_volatile(report)
+    return sorted(list(report) + [f"{k}.{kk}" for k, v in report.items()
+                                  if isinstance(v, dict) for kk in v])
+
+
+def run_cli(inst):
+    """Run one CLI subcommand on a CSV of the instance's pool; its corpus entry."""
+    seed, N, n, family = inst["seed"], inst["N"], inst["n"], inst["family"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        data, out = tmp / "pool.csv", tmp / "out"
+        args = ["--input", str(data), "--output-dir", str(out), "--n", str(n),
+                "--p", str(inst["p"]), "--v", str(inst["v"]), "--seed", str(seed)]
+        pinned = None
+        if family == "cli-select":
+            _write_csv(data, _gaussian(seed, N, 5)[:, 1:])
+            args = ["select", *args, "--add-intercept"]
+        elif family == "cli-select-cumlink":
+            Z, _, beta, cuts = _ordinal(seed, N)
+            _write_csv(data, Z)
+            (tmp / "params.json").write_text(json.dumps(
+                {"beta": beta.tolist(), "theta_cuts": cuts.tolist()}))
+            args = ["select", *args, "--model", "cumlink", "--focus", "beta",
+                    "--params", str(tmp / "params.json")]
+        elif family == "cli-efficiency":
+            Z, _, beta = _logistic(seed, N)
+            _write_csv(data, Z[:, 1:])
+            (tmp / "params.json").write_text(json.dumps({"beta": beta.tolist()}))
+            cand = np.random.default_rng(seed + 100).choice(N, n, replace=False)
+            (tmp / "cand.txt").write_text("\n".join(str(i) for i in cand) + "\n")
+            # efficiency takes n from the candidate file
+            args = ["efficiency", *args, "--add-intercept", "--model", "logistic",
+                    "--params", str(tmp / "params.json"), "--candidate", str(tmp / "cand.txt")]
+        else:
+            Z, y, _ = _logistic(seed, N)
+            _write_csv(data, Z[:, 1:], y)
+            args = ["two-stage", *args, "--add-intercept", "--model", "logistic",
+                    "--response", "y", "--r", "0.4"]
+        code = cli_main(args)
+        report = json.loads((out / "report.json").read_text())
+        res = report["results"]
+        if "candidate_indices" in res:
+            indices, exact = res["candidate_indices"], True
+        else:
+            weights = np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1)[:, 1]
+            if "combined_indices" in res:
+                indices, pinned = res["combined_indices"], np.array(res["stage1_indices"])
+            else:
+                indices = res["selected_indices"]
+            exact = _exact(weights, n, pinned, 1.0 / n)
+    return dict(name=inst["name"], exit_code=code, report_keys=_report_keys(report),
+                converged=report["converged"], phi_value=res["phi_relaxed"],
+                gap_ratio=res.get("gap_ratio", res.get("solved_gap_ratio")),
+                target_gap=inst["v"], v=inst["v"], indices=indices, exact_indices=exact,
+                certified_lower_bound=res.get("certified_lower_bound"))
 
 
 def run(inst):
     """Solve, round and certify one instance; the corpus entry it gives."""
     n, cfg = inst["n"], SolverConfig(epsilon=1.0 / inst["n"], v=inst["v"])
-    if inst["family"] == "two-stage":
+    if inst["family"].startswith("cli-"):
+        return run_cli(inst)
+    if inst["family"] == "bootstrap":
         Z, y, _ = _logistic(inst["seed"], inst["N"])
-        ts = two_stage_select(Z, y, "logistic", n, 0.4, inst["p"], cfg,
+        boot = bootstrap_evaluate(Z, y, "logistic", ("two-stage", "random"), n, 0.4, inst["p"],
+                                  inst["B"], cfg, inst["seed"])
+        return dict(name=inst["name"], used_replicates=boot.used_replicates,
+                    total_mse={m.name: m.total_mse for m in boot.methods})
+    if inst["family"].startswith("two-stage"):
+        if inst["family"] == "two-stage":
+            Z, y, _ = _logistic(inst["seed"], inst["N"])
+        else:
+            Z, y, _, _ = _ordinal(inst["seed"], inst["N"])
+        model = "logistic" if inst["family"] == "two-stage" else "cumlink"
+        ts = two_stage_select(Z, y, model, n, 0.4, inst["p"], cfg,
                               np.random.default_rng(inst["seed"]))
         res, sample, pinned = ts.solve, ts.combined, np.array(ts.stage1.indices)
-        atoms, spec = res.w.certificate.atoms, res.w.certificate.spec
+        atoms, spec = res.w.certificate.atoms, res.w.certificate.state.spec
     else:
         atoms, spec, pinned = _problem(inst)
         res = solve_hybrid(atoms, spec, cfg, pinned=pinned)
@@ -123,7 +225,8 @@ def run(inst):
     bounds = efficiency_bounds(measure_of_sample(sample, len(atoms)), res.w, atoms, spec)
     return dict(name=inst["name"], converged=res.converged, phi_value=res.phi_value,
                 gap_ratio=res.gap_ratio, target_gap=cfg.target_gap, v=inst["v"],
-                indices=list(sample.indices), exact_indices=_exact(res, n, pinned),
+                indices=list(sample.indices),
+                exact_indices=_exact(res.w.weights, n, pinned, res.w.epsilon),
                 certified_lower_bound=bounds.certified_lower_bound)
 
 

@@ -175,7 +175,7 @@ def eta(w_prime, w, atoms, spec):
     feasible w_prime exactly when w is optimal.
     """
     state = build_info_state(atoms, w, spec)
-    scores = phi_p_scores(atoms, state, spec)
+    scores = phi_p_scores(atoms, state)
     return float(state.phi_value - _weights(w_prime) @ scores)
 
 
@@ -184,7 +184,7 @@ def tau(w_prime, w, atoms, spec):
     by the boost step's closed form on the blend of information matrices."""
     aset = as_atom_set(atoms)
     state = info_state_from_m(aset.weighted_sum(_weights(w)), spec)
-    return _blend_curvature(state, aset.weighted_sum(_weights(w_prime)), spec)
+    return _blend_curvature(state, aset.weighted_sum(_weights(w_prime)))
 
 
 def trace_phi_values(trace):

@@ -232,7 +232,7 @@ def test_gradient_identities_and_monotone_traces():
 
         state = build_info_state(atoms, w.weights, spec)
         phi = state.phi_value
-        scores = phi_p_scores(atoms, state, spec)
+        scores = phi_p_scores(atoms, state)
         if abs(float(w.weights @ scores) - phi) > 1e-8 * phi:
             bad["identity"] += 1
 

@@ -9,6 +9,7 @@ import pytest
 import batchdesign.bench as bench_mod
 import batchdesign.cli as cli_mod
 import batchdesign.pipeline as pipeline_mod
+import batchdesign.solvers as solvers_mod
 from batchdesign.cli import main
 from batchdesign.reports import strip_volatile, validate_report
 
@@ -403,6 +404,43 @@ def test_cross_criteria_table(tmp_path):
         assert 0.0 < r["a_eff_of_d"] <= 1.0 + 1e-6
         assert 0.0 < r["d_eff_of_a"] <= 1.0 + 1e-6
     assert main(["cross-criteria", "--N", "60", "--k", "3", "--ns", "20,999"]) == 2
+
+
+def test_cross_criteria_exits_4_when_a_solve_misses_its_target(tmp_path, monkeypatch, capsys):
+    # one boost and one refine round cannot reach 1e-10 at n = 100; at n = N
+    # every weight sits at the cap, so both solves there converge at once
+    monkeypatch.setattr(solvers_mod, "MAX_BOOST_ITERS", 1)
+    monkeypatch.setattr(solvers_mod, "MAX_OUTER_ITERS", 1)
+    out = tmp_path / "out"
+    code = main(["cross-criteria", "--N", "600", "--k", "5", "--ns", "100,600", "--v", "1e-10",
+                 "--output-dir", str(out)])
+    assert code == 4
+    rep = _report(out)
+    assert rep["converged"] is False
+    assert [r["n"] for r in rep["results"]["rows"]] == [100, 600]
+    assert sorted(rep["results"]["rows"][0]) == ["a_eff_of_d", "d_eff_of_a", "n"]
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1 and "n = 100" in warnings[0]
+
+
+def test_standardize_matches_a_hand_standardized_csv(tmp_path):
+    rng = np.random.default_rng(13)
+    Z = rng.standard_normal((60, 2)) * [3.0, 0.5] + [10.0, -2.0]
+    by_hand = (Z - Z.mean(axis=0)) / Z.std(axis=0)
+
+    def select(name, data, *flags):
+        path, out = tmp_path / f"{name}.csv", tmp_path / name
+        path.write_text("x1,x2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in data))
+        assert main(["select", "--input", str(path), "--add-intercept", "--n", "10", "--p", "1",
+                     *flags, "--output-dir", str(out)]) == 0
+        return _report(out)["results"]
+
+    # p = 1 is not invariant under rescaled columns, so skipping the flag shows
+    flagged, manual = select("raw", Z, "--standardize"), select("hand", by_hand)
+    assert flagged["selected_indices"] == manual["selected_indices"]
+    assert flagged["phi_relaxed"] == pytest.approx(manual["phi_relaxed"], rel=1e-9)
+    assert flagged["phi_sample"] == pytest.approx(manual["phi_sample"], rel=1e-9)
 
 
 def test_two_stage_command(labeled_csv, tmp_path):

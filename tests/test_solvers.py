@@ -1,6 +1,7 @@
 import sys
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,10 @@ from helpers import (
 )
 
 
+# the pins of an unpinned solve, as solvers._check_pinned gives them
+NO_PINS = np.zeros(0, dtype=np.intp)
+
+
 def _cfg(eps, **kw):
     return SolverConfig(epsilon=eps, **kw)
 
@@ -45,9 +50,9 @@ def _cfg(eps, **kw):
 def _boost(w, sg, X, spec):
     """One boost step from w toward sg: (w_next, alpha)."""
     aset = as_atom_set(X)
-    ev = solvers._evaluate(aset, w, spec)
+    ev = solvers._evaluate(aset, w, spec, NO_PINS)
     ev = replace(ev, sg=sg, lin=float(sg.weights @ ev.scores))
-    w_next, alpha, state = solvers._boost_once(aset, ev, spec)
+    w_next, alpha, state = solvers._boost_once(aset, ev)
     # a zero step hands back the evaluation's own measure and state
     assert alpha > 0.0 or (w_next is w and state is ev.state)
     return w_next, alpha
@@ -127,6 +132,25 @@ def test_trace_monotone_and_phases(rng):
     assert counts.get("boost", 0) >= 1
     assert res.iterations["refine"] >= 0
     assert set(res.trace.phase_seconds()) <= {"boost", "refine"}
+
+
+@pytest.mark.parametrize("N, working_set", [(60, 60), (4000, 200)])
+def test_phase_seconds_cover_the_whole_solve(monkeypatch, N, working_set):
+    # a clock that advances one unit per scores pass, which every solve step
+    # makes: the uniform start's, the moves', the gate's and the final check's
+    clock = [0.0]
+    scores = solvers.phi_p_scores
+
+    def counted(*args):
+        clock[0] += 1.0
+        return scores(*args)
+
+    monkeypatch.setattr(solvers, "phi_p_scores", counted)
+    monkeypatch.setattr(solvers, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    X = gaussian_pool(np.random.default_rng(0), N, 4)
+    res = solve_hybrid(X, CriterionSpec(p=1.0), _cfg(1.0 / 40, v=1e-7))
+    assert res.converged and res.working_set == working_set
+    assert sum(res.trace.phase_seconds().values()) == clock[0] > 0.0
 
 
 def test_boost_only_stops_at_coarse_gap(rng):
@@ -300,8 +324,8 @@ def test_boost_step_descends(rng):
     spec = CriterionSpec(p=0.0)
     w = Measure(np.full(20, 0.05), 0.1)
     aset = as_atom_set(X)
-    ev = solvers._evaluate(aset, w, spec)
-    w_next, alpha, _ = solvers._boost_once(aset, ev, spec)
+    ev = solvers._evaluate(aset, w, spec, NO_PINS)
+    w_next, alpha, _ = solvers._boost_once(aset, ev)
     assert 0.0 < alpha <= 1.0
     phi_after = build_info_state(X, w_next, spec).phi_value
     assert phi_after <= ev.state.phi_value + 1e-12
@@ -323,13 +347,13 @@ def test_boost_step_from_near_singular_start_takes_newton_step():
 def test_boost_step_halves_a_step_that_would_increase_the_criterion(monkeypatch):
     # with the curvature taken as zero the step is the whole segment, whose
     # end is singular; the halving guard brings it back to 0.03125
-    monkeypatch.setattr(solvers, "_blend_curvature", lambda state, M1, spec: 0.0)
+    monkeypatch.setattr(solvers, "_blend_curvature", lambda state, M1: 0.0)
     X = np.eye(2)
     spec = CriterionSpec(p=1.0)
     w = Measure(np.array([0.51, 0.49]), 1.0)
     aset = as_atom_set(X)
-    ev = solvers._evaluate(aset, w, spec)
-    w_next, alpha, _ = solvers._boost_once(aset, ev, spec)
+    ev = solvers._evaluate(aset, w, spec, NO_PINS)
+    w_next, alpha, _ = solvers._boost_once(aset, ev)
     assert 0.0 < alpha < 1.0
     assert alpha == 0.03125
     assert build_info_state(X, w_next, spec).phi_value <= ev.state.phi_value
@@ -341,8 +365,8 @@ def test_restricted_never_increases(rng):
         X = gaussian_pool(rng, 18, 3)
         w = random_feasible(rng, 18, 0.15)
         aset = as_atom_set(X)
-        ev = solvers._evaluate(aset, w, spec)
-        w_new, state = solvers._restricted(aset, ev, spec, None, _run())
+        ev = solvers._evaluate(aset, w, spec, NO_PINS)
+        w_new, state = solvers._restricted(aset, ev, NO_PINS, _run())
         phi_new = build_info_state(X, w_new, spec).phi_value
         assert phi_new == pytest.approx(state.phi_value, rel=1e-12)
         assert phi_new <= ev.state.phi_value + 1e-12
@@ -366,14 +390,14 @@ def test_restricted_stops_at_the_forcing_fraction_of_the_outer_gap(monkeypatch):
     aset = as_atom_set(X)
     # a refine round's start: the boost phase's iterate, at a gap near v0
     w = solve_hybrid(X, spec, _cfg(eps, v=1e-3)).w
-    ev = solvers._evaluate(aset, w, spec)
+    ev = solvers._evaluate(aset, w, spec, NO_PINS)
     g = ev.gap_ratio
     assert solvers.INNER_FORCING * g > solvers.INNER_TOL
     # an evaluation at gap 0 solves to INNER_TOL
     exact_run, forced_run = _run(), _run()
-    solvers._restricted(aset, replace(ev, gap_ratio=0.0), spec, None, exact_run)
+    solvers._restricted(aset, replace(ev, gap_ratio=0.0), NO_PINS, exact_run)
     exact_steps, steps[:] = list(steps), []
-    solvers._restricted(aset, ev, spec, None, forced_run)
+    solvers._restricted(aset, ev, NO_PINS, forced_run)
     exact, forced = exact_run.inner, forced_run.inner
     # the same iterates, cut at the first one within the forcing fraction
     assert steps == exact_steps[:forced]
@@ -425,8 +449,9 @@ def test_restricted_exits_hand_back_the_evaluation(rng, monkeypatch, exit_):
     # every exit that keeps w returns the evaluation's own measure and state
     aset, spec = as_atom_set(gaussian_pool(np.random.default_rng(3), 12, 3)), CriterionSpec(p=2.0)
     # four points at the cap 1/4, the rest at zero
-    ev = solvers._evaluate(aset, Measure(np.r_[np.full(4, 0.25), np.zeros(8)], 0.25), spec)
-    pinned = None
+    w = Measure(np.r_[np.full(4, 0.25), np.zeros(8)], 0.25)
+    ev = solvers._evaluate(aset, w, spec, NO_PINS)
+    pinned = NO_PINS
     if exit_ == "no free point":
         ev = replace(ev, sg=ev.w)
     elif exit_ == "negative mass":
@@ -435,10 +460,10 @@ def test_restricted_exits_hand_back_the_evaluation(rng, monkeypatch, exit_):
         pinned = np.array([5, 6])
     elif exit_ in CLOSING_EXITS:
         aset = as_atom_set(gaussian_pool(rng, 18, 3))
-        ev = solvers._evaluate(aset, random_feasible(rng, 18, 0.15), spec)
+        ev = solvers._evaluate(aset, random_feasible(rng, 18, 0.15), spec, NO_PINS)
     seen = _force_exit(monkeypatch, exit_)
     run = _run()
-    w_new, state = solvers._restricted(aset, ev, spec, pinned, run)
+    w_new, state = solvers._restricted(aset, ev, pinned, run)
     assert w_new is ev.w and state is ev.state
     assert len(seen) == {"singular start": 1, **dict.fromkeys(CLOSING_EXITS, 2)}.get(exit_, 0)
     # the SPG steps taken before a closing exit still count
@@ -448,8 +473,8 @@ def test_restricted_exits_hand_back_the_evaluation(rng, monkeypatch, exit_):
 def test_renormalized_restricted_exit_returns_a_fresh_assembly(rng, monkeypatch):
     _force_exit(monkeypatch, "renormalized")
     aset, spec = as_atom_set(gaussian_pool(rng, 18, 3)), CriterionSpec(p=2.0)
-    ev = solvers._evaluate(aset, random_feasible(rng, 18, 0.15), spec)
-    w_new, state = solvers._restricted(aset, ev, spec, None, _run())
+    ev = solvers._evaluate(aset, random_feasible(rng, 18, 0.15), spec, NO_PINS)
+    w_new, state = solvers._restricted(aset, ev, NO_PINS, _run())
     assert w_new is not ev.w and abs(w_new.weights.sum() - 1.0) <= 1e-15
     fresh = build_info_state(aset, w_new, spec)
     assert abs(state.phi_value / fresh.phi_value - 1.0) <= 1e-12
@@ -460,9 +485,9 @@ def test_renormalized_restricted_exit_returns_a_fresh_assembly(rng, monkeypatch)
 def test_boost_step_exhausts_its_halvings(rng, monkeypatch):
     # every trial of the step is singular: after 21 halvings the step is zero
     aset, spec = as_atom_set(gaussian_pool(rng, 20, 3)), CriterionSpec(p=1.0)
-    ev = solvers._evaluate(aset, Measure(np.full(20, 0.05), 0.1), spec)
+    ev = solvers._evaluate(aset, Measure(np.full(20, 0.05), 0.1), spec, NO_PINS)
     trials = _force_exit(monkeypatch, "halvings exhausted")
-    w_next, alpha, state = solvers._boost_once(aset, ev, spec)
+    w_next, alpha, state = solvers._boost_once(aset, ev)
     assert len(trials) == 21
     assert alpha == 0.0 and w_next is ev.w and state is ev.state
 
@@ -557,7 +582,7 @@ def test_each_iterate_evaluated_once(rng, monkeypatch, p):
             return out
         monkeypatch.setattr(solvers, fn.__name__, wrapped)
 
-    def evaluated(out, w, spec, pinned=None, state=None, assembled=0):
+    def evaluated(out, w, spec, pinned, state=None, assembled=0):
         # an evaluation handed no state assembles M(w) itself
         calls["fresh _evaluate"] += state is None
         return 0
@@ -614,12 +639,12 @@ def test_carried_evaluations_match_a_fresh_assembly(monkeypatch, p, with_g, pins
     carried = []
     evaluate = solvers._evaluate
 
-    def spy(aset, w, spec, pinned=None, state=None):
+    def spy(aset, w, spec, pinned, state=None):
         out = evaluate(aset, w, spec, pinned, state)
         if state is not None:
             fresh = build_info_state(aset, w, spec)
             carried.append((out.state.phi_value, fresh.phi_value, out.scores,
-                            phi_p_scores(aset, fresh, spec)))
+                            phi_p_scores(aset, fresh)))
         return out
 
     monkeypatch.setattr(solvers, "_evaluate", spy)
@@ -684,7 +709,7 @@ def test_certified_bound_is_the_ratio_times_one_minus_the_gap(rng, v):
     res = solve_hybrid(X, spec, _cfg(eps, v0=1e-3, v=v))
     aset = as_atom_set(X)
     state = build_info_state(aset, res.w, spec)
-    scores = phi_p_scores(aset, state, spec)
+    scores = phi_p_scores(aset, state)
     lin = float(solvers._greedy_linear_max(scores, eps, 1.0) @ scores)
     gap = (lin - state.phi_value) / state.phi_value
     assert 0.0 < gap <= v
@@ -858,6 +883,16 @@ def test_efficiency_bounds_reject_a_candidate_above_the_cap(rng):
     with pytest.raises(InfeasibleEpsilon, match="exceeds the solved cap"):
         efficiency_bounds(measure_of_sample(sample, 12), res.w, X, spec)
 
+    # a weight at the cap is covered by the certificate; 1e-10 above it is not
+    def candidate(top):
+        w = np.zeros(12)
+        w[0], w[1:11] = top, (1.0 - top) / 10
+        return Measure(w, 0.2)
+
+    efficiency_bounds(candidate(0.1), res.w, X, spec)
+    with pytest.raises(InfeasibleEpsilon, match="exceeds the solved cap"):
+        efficiency_bounds(candidate(0.1 + 1e-10), res.w, X, spec)
+
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_certificate_never_exceeds_brute_force_efficiency(rng, p):
@@ -919,7 +954,7 @@ def _assert_full_pool_result(atoms, res, spec, v, pinned=None):
     # scores and gap of the returned weights, recomputed on the whole pool
     aset = as_atom_set(atoms)
     state = build_info_state(aset, res.w, spec)
-    scores = phi_p_scores(aset, state, spec)
+    scores = phi_p_scores(aset, state)
     ranked = scores.copy()
     if pinned is not None:
         ranked[pinned] = scores.max() + 1.0

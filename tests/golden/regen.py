@@ -5,17 +5,22 @@ rounds the relaxation to its sample and certifies the sample.  A bootstrap
 instance records each method's total MSE instead, and a CLI instance runs a
 subcommand on a CSV written from its pool and records the exit code and the
 ``report.json`` keys as well.  Running this file rewrites ``solves.json``
-next to it:
+next to it, or only the entries whose names are given as arguments:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [NAME ...]
 
-A change that rewrites the corpus says which entries changed and why.
+The corpus also records a fingerprint of the BLAS kernel that wrote it,
+because other kernels round the same solves differently.  A partial rewrite
+must run on that kernel.  A change that rewrites the corpus says which
+entries changed and why.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -230,12 +235,39 @@ def run(inst):
                 certified_lower_bound=bounds.certified_lower_bound)
 
 
-def main():
-    entries = [run(inst) for inst in INSTANCES]
+def blas_fingerprint() -> str:
+    """Digest of one seeded Gram product and its eigenvalues, the BLAS and
+    LAPACK calls every solve iteration makes; kernels that round them
+    differently give different digests."""
+    X = np.random.default_rng(0).standard_normal((1000, 45))
+    M = X.T @ X
+    return hashlib.sha256(M.tobytes() + np.linalg.eigvalsh(M).tobytes()).hexdigest()[:16]
+
+
+def load():
+    """(fingerprint, entries by name) of the corpus."""
+    corpus = json.loads(CORPUS.read_text())
+    return corpus["blas"], {e["name"]: e for e in corpus["entries"]}
+
+
+def main(names=()):
+    blas = blas_fingerprint()
+    kept = {}
+    unknown = set(names) - {inst["name"] for inst in INSTANCES}
+    if unknown:
+        sys.exit(f"no such instance: {sorted(unknown)}")
+    if names:
+        written, kept = load()
+        if written != blas:
+            sys.exit(f"the corpus was written on BLAS kernel {written}, this is {blas}: "
+                     "rewrite it whole")
+    entries = [run(inst) if not names or inst["name"] in names else kept[inst["name"]]
+               for inst in INSTANCES]
     # one entry per line, so that a rewrite shows which entries changed
-    CORPUS.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
-    print(f"wrote {len(entries)} entries to {CORPUS}")
+    CORPUS.write_text(f'{{"blas": "{blas}", "entries": [\n'
+                      + ",\n".join(json.dumps(e) for e in entries) + "\n]}\n")
+    print(f"wrote {len(names) or len(entries)} of {len(entries)} entries to {CORPUS}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,10 +1,11 @@
-import json
-
 import pytest
 
 from golden import regen
 
-CORPUS = {e["name"]: e for e in json.loads(regen.CORPUS.read_text())}
+BLAS, CORPUS = regen.load()
+# other BLAS kernels round the same solves differently, and a p = 2 solve
+# can then stop at another point within its target gap
+SAME_KERNEL = BLAS == regen.blas_fingerprint()
 
 
 def test_corpus_covers_every_instance():
@@ -31,5 +32,9 @@ def test_seeded_solve_matches_the_golden_corpus(inst):
         assert got["indices"] == want["indices"]
     if want["certified_lower_bound"] is None:
         assert got["certified_lower_bound"] is None
-    else:
-        assert abs(got["certified_lower_bound"] - want["certified_lower_bound"]) <= 1e-9
+        return
+    # both certify one sample, and a solve within gap t certifies a value in
+    # [(1 - t) e, e], e the sample's efficiency: they differ by at most t e
+    t, cert = want["target_gap"], want["certified_lower_bound"]
+    tol = 1e-9 if SAME_KERNEL else max(1e-9, t / (1.0 - t) * cert)
+    assert abs(got["certified_lower_bound"] - cert) <= tol

@@ -102,6 +102,11 @@ def _instances():
     out.append(dict(family="cli-select-cumlink", seed=9, N=800, n=60, p=1.0))
     out.append(dict(family="cli-efficiency", seed=10, N=600, n=50, p=0.0, v=1e-8))
     out.append(dict(family="cli-two-stage", seed=11, N=1500, n=100, p=1.0))
+    # third slice: the exponents and transforms the leverage formula must cover
+    for p in (0.0, 0.5, 2.0):
+        out.append(dict(family="cumlink", seed=12, N=800, n=80, p=p, beta_only=True))
+    out.append(dict(family="gaussian", seed=3, N=300, k=5, n=60, p=0.5))
+    out.append(dict(family="gaussian", seed=3, N=300, k=5, n=60, p=10.0))
     for inst in out:
         inst.setdefault("v", 1e-6)
         inst["name"] = "-".join(f"{k}={v}" for k, v in inst.items())

@@ -83,7 +83,7 @@ def test_weights_dot_leverages_equals_value(seed, p):
     assert float(w @ scores) == pytest.approx(state.phi_value, rel=1e-10)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0, 3.0])
 @pytest.mark.parametrize("with_g", [False, True])
 def test_leverage_is_negated_weight_derivative(rng, p, with_g):
     N, k = 10, 3
@@ -106,13 +106,14 @@ def test_leverage_is_negated_weight_derivative(rng, p, with_g):
         assert -fd == pytest.approx(scores[i], rel=2e-5, abs=1e-10)
 
 
-def test_matrix_atoms_score_like_vector_atoms(rng):
+@pytest.mark.parametrize("p", [0.0, 0.5, 2.0])
+def test_matrix_atoms_score_like_vector_atoms(rng, p):
     # the atoms x x^T as k x k matrices give the same leverages as the rows x
     X = gaussian_pool(rng, 8, 3)
     w = random_feasible(rng, 8, 0.3, measure=False)
     outer = AtomSet.from_matrices(np.einsum("ni,nj->nij", X, X))
-    for G in (None, rng.standard_normal((2, 3))):
-        spec = CriterionSpec(p=2.0, G=G)
+    for G in (None, rng.standard_normal((2, 3)), rng.standard_normal((1, 3))):
+        spec = CriterionSpec(p=p, G=G)
         state = build_info_state(X, w, spec)
         scores = phi_p_scores(X, state)
         assert np.allclose(phi_p_scores(outer, state), scores, rtol=1e-12, atol=0.0)

@@ -22,6 +22,7 @@ the criterion value, which anchors the optimality-gap computations here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,10 @@ class CriterionSpec:
 
 @dataclass(frozen=True)
 class InfoState:
-    """Cached factorizations of one evaluation point, and the spec they serve."""
+    """Cached factorizations of one evaluation point, and the spec they serve.
+
+    Sigma's factor C = M^-1 G^T V (V its eigenvectors, G = I when spec.G is
+    None) and tr = Tr(Sigma^p) (q at p = 0) are computed on first use."""
 
     M: np.ndarray
     M_inv: np.ndarray
@@ -68,6 +72,16 @@ class InfoState:
     sigma_eigvecs: np.ndarray
     phi_value: float
     spec: CriterionSpec
+
+    @cached_property
+    def sigma_factor(self) -> np.ndarray:
+        G, V = self.spec.G, self.sigma_eigvecs
+        return self.M_inv @ (V if G is None else G.T @ V)
+
+    @cached_property
+    def trace_p(self) -> float:
+        lam, p = self.sigma_eigvals, self.spec.p
+        return float(lam.shape[0]) if p == 0.0 else float(np.sum(lam**p))
 
 
 def _phi_from_eigs(lam: np.ndarray, p: float, q: int) -> float:
@@ -97,8 +111,7 @@ def info_state_from_m(M: np.ndarray, spec: CriterionSpec) -> InfoState:
     M_inv = (V / lam) @ V.T
     M_inv = 0.5 * (M_inv + M_inv.T)
     if spec.G is None:
-        sig_lam = 1.0 / lam[::-1]
-        sig_vec = V[:, ::-1]
+        sig_lam, sig_vec = 1.0 / lam[::-1], V[:, ::-1]
     else:
         if spec.G.shape[1] != M.shape[0]:
             raise DimensionMismatch(
@@ -126,28 +139,11 @@ def build_info_state(atoms, w, spec: CriterionSpec) -> InfoState:
 def phi_p_scores(atoms, state: InfoState) -> np.ndarray:
     """Generalized leverage of every pool point at the weighting and criterion of state.
 
-    phi_p(x, w) = coef * Tr(B M_x) with B = M^-1 G^T Sigma^(p-1) G M^-1; for
-    the identity transform the Sigma eigenbasis collapses B to a single
-    eigen-rescaling, and for p = 0 it is just M^-1.
+    phi_p(x, w) = Phi_p / tr * Tr(B M_x) with B = M^-1 G^T Sigma^(p-1) G M^-1
+    = C diag(lam^(p-1)) C^T, for every p and G.
     """
-    aset = as_atom_set(atoms)
-    lam = state.sigma_eigvals
-    q = lam.shape[0]
-    p, G = state.spec.p, state.spec.G
-    tr_p = float(q) if p == 0.0 else float(np.sum(lam**p))
-    coef = state.phi_value / tr_p
-    if G is None:
-        if p == 0.0:
-            B = state.M_inv
-        else:
-            V = state.sigma_eigvecs
-            B = (V * lam ** (p + 1.0)) @ V.T
-    else:
-        V = state.sigma_eigvecs
-        W = (V * lam ** (p - 1.0)) @ V.T
-        C = state.M_inv @ G.T
-        B = C @ W @ C.T
-    return coef * aset.quad_forms(0.5 * (B + B.T))
+    S = state.sigma_factor * state.sigma_eigvals ** (0.5 * (state.spec.p - 1.0))
+    return state.phi_value / state.trace_p * as_atom_set(atoms).quad_forms(S @ S.T)
 
 
 def _blend_curvature(state: InfoState, M1: np.ndarray) -> float:
@@ -158,10 +154,10 @@ def _blend_curvature(state: InfoState, M1: np.ndarray) -> float:
     of x^(p-1) on the eigenvalues (Daleckii-Krein), Tr(Sigma^p) / p (log det at
     p = 0) has derivatives T1 = sum lam^(p-1) A_ii and T2 = sum lam^(p-1) B_ii +
     sum Gamma_ij A_ij^2, so Phi_p'' = Phi_p (T2 / tr + (1 - p) (T1 / tr)^2) with
-    tr as in phi_p_scores.  Factorizes nothing; clamped at zero against roundoff.
+    C and tr read from the state.  Factorizes nothing; clamped at zero against
+    roundoff.
     """
-    lam, V, p, G = state.sigma_eigvals, state.sigma_eigvecs, state.spec.p, state.spec.G
-    C = state.M_inv @ (V if G is None else G.T @ V)
+    lam, C, p, tr = state.sigma_eigvals, state.sigma_factor, state.spec.p, state.trace_p
     E = (M1 - state.M) @ C
     A = -C.T @ E
     b_diag = 2.0 * np.einsum("ij,ij->j", E, state.M_inv @ E)
@@ -171,7 +167,6 @@ def _blend_curvature(state: InfoState, M1: np.ndarray) -> float:
     t = np.log(lo / hi)
     gamma = hi ** (a - 1.0) * np.divide(np.expm1(a * t), np.expm1(t),
                                         out=np.full_like(t, a), where=t != 0.0)
-    tr = float(lam.shape[0]) if p == 0.0 else float(np.sum(lam**p))
     t1 = float(lam**a @ np.diag(A)) / tr
     t2 = float(lam**a @ b_diag + np.sum(gamma * A * A)) / tr
     return max(0.0, state.phi_value * (t2 + (1.0 - p) * t1 * t1))

@@ -59,9 +59,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=False,
                        help="center/scale non-intercept columns before use")
 
-    def add_criterion(p: argparse.ArgumentParser, v: float = 1e-6) -> None:
+    def add_criterion(p: argparse.ArgumentParser, v: float = 1e-6, budget: bool = True) -> None:
         p.add_argument("--p", type=float, default=0.0, help="criterion order p >= 0 (0: determinant)")
-        p.add_argument("--n", type=int, help="sample budget")
+        if budget:  # efficiency's budget is its candidate file's length
+            p.add_argument("--n", type=int, help="sample budget")
         p.add_argument("--epsilon", type=float, help="weight cap; None means 1/n")
         p.add_argument("--v", type=float, default=v, help="target gap ratio")
         p.add_argument("--v0", type=float, default=1e-3,
@@ -87,7 +88,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         add(p_select)
 
     p_eff = sub.add_parser("efficiency", help="certify a given candidate sample")
-    for add in (add_common, add_data, lambda p: add_criterion(p, v=REFERENCE_GAP), add_model):
+    for add in (add_common, add_data, lambda p: add_criterion(p, REFERENCE_GAP, budget=False), add_model):
         add(p_eff)
     p_eff.add_argument("--candidate", help="file listing candidate indices, one per line")
 
@@ -458,22 +459,20 @@ def cmd_two_stage(args) -> int:
     solve_seconds = time.perf_counter() - t_solve
 
     artifacts = {}
-    if ts.solve is not None:
-        weights_path = os.path.join(_out_dir(args), "weights.csv")
-        write_weights_csv(weights_path, ts.solve.w.weights, ts.solve.scores, ts.combined.indices)
-        artifacts["weights"] = weights_path
     results = {
         "N": Z.shape[0], "n": n, "r": r_frac, "p": p, "model": args.model,
         "n_stage1": len(ts.stage1.indices),
         "stage1_indices": [int(i) for i in ts.stage1.indices],
         "combined_indices": [int(i) for i in ts.combined.indices],
     }
-    if ts.fit is not None:
+    if ts.solve is not None:  # a stage two: the working fit and its solve
+        weights_path = os.path.join(_out_dir(args), "weights.csv")
+        write_weights_csv(weights_path, ts.solve.w.weights, ts.solve.scores, ts.combined.indices)
+        artifacts["weights"] = weights_path
         results["beta_hat"] = np.asarray(ts.fit.beta, dtype=float).tolist()
         if hasattr(ts.fit, "theta_cuts"):
             results["theta_hat"] = np.asarray(ts.fit.theta_cuts, dtype=float).tolist()
         results["fit_iterations"] = int(ts.fit.iterations)
-    if ts.solve is not None:
         results["phi_relaxed"] = float(ts.solve.phi_value)
         results["gap_ratio"] = float(ts.solve.gap_ratio)
         results.update(_solve_counts(ts.solve))
@@ -529,11 +528,16 @@ def cmd_bootstrap_eval(args) -> int:
                          "ratio_to_random": ratios[m.name]}
                         for m in boot.methods],
         },
+        converged=not boot.missed_replicates,
         artifacts={"table": table_path, "components": comp_path},
     )
     for m in boot.methods:
         ratio = f"  ratio {ratios[m.name]:.4f}" if has_random else ""
         print(f"{m.name:>10}: total MSE {m.total_mse:.6g}{ratio}")
+    if boot.missed_replicates:
+        print(f"warning: in {boot.missed_replicates} of {boot.used_replicates} replicates the "
+              f"two-stage solve stopped above the target gap {cfg.target_gap:.3e}", file=sys.stderr)
+        return EXIT_NONCONVERGED
     return EXIT_OK
 
 

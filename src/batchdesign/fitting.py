@@ -123,8 +123,7 @@ def fit_cumlink(Z, y) -> CumlinkFit:
     if J < 2:
         raise FitDiverged("cumulative-link fit needs at least two observed categories")
     y_idx = np.searchsorted(cats, y)
-    d = Z.shape[1]
-    N = Z.shape[0]
+    N, d = Z.shape
 
     cum = np.cumsum(np.bincount(y_idx, minlength=J))[:-1] / N
     cum = np.clip(cum, 1e-6, 1.0 - 1e-6)

@@ -111,11 +111,10 @@ def cumlink_parts(Z, spec: CumulativeLinkSpec) -> tuple[np.ndarray, np.ndarray]:
     dpi = np.zeros((N, J, k))
     diff_f = f[:, 1:] - f[:, :-1]
     dpi[:, :, :d] = -diff_f[:, :, None] * Z[:, None, :]
-    for j in range(1, J + 1):
-        if j <= J - 1:
-            dpi[:, j - 1, d + j - 1] += f[:, j]
-        if j - 1 >= 1:
-            dpi[:, j - 1, d + j - 2] -= f[:, j - 1]
+    # cutpoint c moves pi_c up and pi_(c+1) down, by f[:, c]
+    cuts = np.arange(J - 1)
+    dpi[:, cuts, d + cuts] = f[:, 1:J]
+    dpi[:, cuts + 1, d + cuts] -= f[:, 1:J]
     return pi, dpi
 
 

@@ -60,9 +60,6 @@ class TwoStageResult:
     combined: SampleSet
     fit: object | None
     solve: SolveResult | None
-    p: float
-    n: int
-    r_frac: float
 
 
 def two_stage_select(Z, y, model: str, n: int, r_frac: float, p: float,
@@ -72,25 +69,24 @@ def two_stage_select(Z, y, model: str, n: int, r_frac: float, p: float,
     y = np.asarray(y).ravel()
     N = Z.shape[0]
     _check_budget(n, N, r_frac)
-    n1 = int(round(r_frac * n))
-    n1 = min(max(n1, 1), n)
+    n1 = min(max(int(round(r_frac * n)), 1), n)
     stage1_idx = np.sort(rng.choice(N, size=n1, replace=False))
     stage1 = SampleSet(stage1_idx)
     if n1 == n:
         # pure random sample; nothing left to design
-        return TwoStageResult(stage1, stage1, None, None, p, n, r_frac)
+        return TwoStageResult(stage1, stage1, None, None)
 
     fit = _fit_model(model, Z[stage1_idx], y[stage1_idx])
     # the regression block is what the refit estimates
     atoms, G = model_atoms(model, Z, fit.beta, getattr(fit, "theta_cuts", None), focus="beta")
     spec = CriterionSpec(p=p, G=G)
-    eps = cfg.epsilon if cfg.epsilon is not None else 1.0 / n
-    cfg = replace(cfg, epsilon=eps)
+    if cfg.epsilon is None:
+        cfg = replace(cfg, epsilon=1.0 / n)
     res = solve_hybrid(atoms, spec, cfg, pinned=stage1_idx)
 
     # stage-one points are kept; the rest of the budget goes to the largest free weights
     combined = round_to_sample(res.w, n, res.scores, pinned=stage1_idx)
-    return TwoStageResult(stage1, combined, fit, res, p, n, r_frac)
+    return TwoStageResult(stage1, combined, fit, res)
 
 
 @dataclass
@@ -108,6 +104,8 @@ class BootstrapResult:
     replicates: int
     used_replicates: int
     failed_replicates: int
+    # kept replicates whose two-stage solve stopped above its target gap
+    missed_replicates: int = 0
 
     def ratio_to_random(self, name: str) -> float:
         by_name = {m.name: m for m in self.methods}
@@ -117,11 +115,12 @@ class BootstrapResult:
 
 
 def _one_replicate(args):
+    """(refit coefficients by method, whether the solve met its target), or None if a fit failed."""
     (Z, y, model, methods, n, r_frac, p, cfg, child_seed) = args
     rng = np.random.default_rng(child_seed)
     N = Z.shape[0]
     rows = rng.integers(0, N, size=N)
-    devs = {}
+    devs, converged = {}, True
     for method in methods:
         try:
             if method == "random":
@@ -137,6 +136,7 @@ def _one_replicate(args):
                     raise ValueError(f"a bootstrap replicate has {uniq.size} distinct records, "
                                      f"fewer than the budget n = {n}")
                 ts = two_stage_select(Z[uniq], y[uniq], model, n, r_frac, p, cfg, rng)
+                converged = ts.solve is None or ts.solve.converged
                 pick = uniq[np.array(ts.combined.indices)]
                 fit = _fit_model(model, Z[pick], y[pick])
             else:
@@ -144,7 +144,7 @@ def _one_replicate(args):
             devs[method] = fit.beta
         except FitDiverged:
             return None
-    return devs
+    return devs, converged
 
 
 def bootstrap_evaluate(Z, y, model: str, methods, n: int, r_frac: float, p: float,
@@ -187,9 +187,10 @@ def bootstrap_evaluate(Z, y, model: str, methods, n: int, r_frac: float, p: floa
 
     stats = []
     for method in methods:
-        d = np.stack([r[method] - ref_beta for r in kept])
+        d = np.stack([devs[method] - ref_beta for devs, _ in kept])
         comp = np.mean(d * d, axis=0)
         stats.append(MethodStats(name=method, total_mse=float(comp.sum()),
                                  component_mse=comp, failures=failed))
     return BootstrapResult(reference_beta=ref_beta, methods=stats, replicates=B,
-                           used_replicates=len(kept), failed_replicates=failed)
+                           used_replicates=len(kept), failed_replicates=failed,
+                           missed_replicates=sum(not ok for _, ok in kept))

@@ -161,7 +161,9 @@ def run_cli(inst):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         data, out = tmp / "pool.csv", tmp / "out"
-        args = ["--input", str(data), "--output-dir", str(out), "--n", str(n),
+        # efficiency takes n from the candidate file
+        budget = [] if family == "cli-efficiency" else ["--n", str(n)]
+        args = ["--input", str(data), "--output-dir", str(out), *budget,
                 "--p", str(inst["p"]), "--v", str(inst["v"]), "--seed", str(seed)]
         pinned = None
         if family == "cli-select":
@@ -180,7 +182,6 @@ def run_cli(inst):
             (tmp / "params.json").write_text(json.dumps({"beta": beta.tolist()}))
             cand = np.random.default_rng(seed + 100).choice(N, n, replace=False)
             (tmp / "cand.txt").write_text("\n".join(str(i) for i in cand) + "\n")
-            # efficiency takes n from the candidate file
             args = ["efficiency", *args, "--add-intercept", "--model", "logistic",
                     "--params", str(tmp / "params.json"), "--candidate", str(tmp / "cand.txt")]
         else:

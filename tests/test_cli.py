@@ -127,6 +127,17 @@ def test_efficiency_certifies_candidate(pool_csv, tmp_path):
     assert res["certified_lower_bound"] > 0.0
 
 
+def test_efficiency_takes_no_budget_flag(pool_csv, tmp_path, capsys):
+    # the budget is the candidate file's length, so --n would be ignored
+    cand = tmp_path / "cand.txt"
+    cand.write_text("0\n3\n5\n7\n11\n13\n17\n19\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", "--input", str(pool_csv), "--candidate", str(cand), "--n", "5",
+              "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
 def test_efficiency_candidate_errors(pool_csv, tmp_path):
     bad = tmp_path / "cand.txt"
     bad.write_text("0\n0\n1\n")
@@ -220,18 +231,18 @@ def test_cumlink_with_intercept_exits_2(tmp_path, capsys):
     params.write_text(json.dumps({"beta": [0.0, 1.0, -0.5], "theta_cuts": [-0.8, 0.8]}))
     candidate = tmp_path / "cand.txt"
     candidate.write_text("\n".join(str(i) for i in range(20)) + "\n")
-    common = ["--input", str(data), "--response", "y", "--model", "cumlink", "--n", "20",
+    common = ["--input", str(data), "--response", "y", "--model", "cumlink",
               "--output-dir", str(tmp_path / "out")]
-    runs = {"select": ["--params", str(params)],
+    runs = {"select": ["--n", "20", "--params", str(params)],
             "efficiency": ["--params", str(params), "--candidate", str(candidate)],
-            "two-stage": ["--r", "0.5"],
-            "bootstrap-eval": ["--r", "0.5", "--B", "2"]}
+            "two-stage": ["--n", "20", "--r", "0.5"],
+            "bootstrap-eval": ["--n", "20", "--r", "0.5", "--B", "2"]}
     for command, extra in runs.items():
         assert main([command, *common, *extra, "--add-intercept"]) == 2, command
         err = capsys.readouterr().err
         assert "--add-intercept" in err and "cutpoints" in err, command
     # without the intercept the same graded pool fits and solves
-    assert main(["two-stage", *common, "--r", "0.5"]) == 0
+    assert main(["two-stage", *common, "--n", "20", "--r", "0.5"]) == 0
 
 
 def test_degenerate_pool_exits_3(tmp_path):
@@ -491,6 +502,25 @@ def test_bootstrap_eval_command(labeled_csv, tmp_path):
         table = list(csv.DictReader(fh))
     assert [t["method"] for t in table] == ["two-stage", "random"]
     assert (out / "components.csv").exists()
+
+
+def test_bootstrap_eval_exits_4_when_a_replicate_solve_misses_its_target(
+        labeled_csv, tmp_path, monkeypatch, capsys):
+    # one boost and one refine round cannot reach 1e-10
+    monkeypatch.setattr(solvers_mod, "MAX_BOOST_ITERS", 1)
+    monkeypatch.setattr(solvers_mod, "MAX_OUTER_ITERS", 1)
+    out = tmp_path / "out"
+    code = main(["bootstrap-eval", "--input", str(labeled_csv), "--response", "y",
+                 "--add-intercept", "--model", "logistic", "--n", "30", "--r", "0.5",
+                 "--B", "2", "--p", "1", "--seed", "7", "--v", "1e-10",
+                 "--output-dir", str(out)])
+    assert code == 4
+    rep = _report(out)
+    assert rep["converged"] is False and rep["results"]["used_replicates"] == 2
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: in 2 of 2 replicates the two-stage solve stopped above the "
+                        "target gap 1.000e-10"]
 
 
 def test_pipeline_rules_checked_before_any_fit(labeled_csv, tmp_path, monkeypatch, capsys):

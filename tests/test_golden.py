@@ -3,8 +3,8 @@ import pytest
 from golden import regen
 
 BLAS, CORPUS = regen.load()
-# other BLAS kernels round the same solves differently, and a p = 2 solve
-# can then stop at another point within its target gap
+# other BLAS kernels round the same solves differently, and a solve can then
+# stop at another point within its target gap
 SAME_KERNEL = BLAS == regen.blas_fingerprint()
 
 

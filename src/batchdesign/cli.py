@@ -39,8 +39,9 @@ EXIT_FIT = 5
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """Every option's default is declared on its flag; ``config`` values replace them."""
+    # flags are spelled in full: an abbreviation would be read as the flag it prefixes
     parser = argparse.ArgumentParser(
-        prog="batchdesign",
+        prog="batchdesign", allow_abbrev=False,
         description="Select an informative batch of points from a candidate pool.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -83,32 +84,34 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--model", choices=MODEL_NAMES, help="model fitted to the labelled sample")
         p.add_argument("--r", type=float, default=0.4, help="stage-one fraction of the budget")
 
-    p_select = sub.add_parser("select", help="solve the relaxation and round to a sample")
+    p_select = sub.add_parser("select", allow_abbrev=False, help="solve the relaxation and round to a sample")
     for add in (add_common, add_data, add_criterion, add_model):
         add(p_select)
 
-    p_eff = sub.add_parser("efficiency", help="certify a given candidate sample")
+    p_eff = sub.add_parser("efficiency", allow_abbrev=False, help="certify a given candidate sample")
     for add in (add_common, add_data, lambda p: add_criterion(p, REFERENCE_GAP, budget=False), add_model):
         add(p_eff)
     p_eff.add_argument("--candidate", help="file listing candidate indices, one per line")
 
-    p_bench = sub.add_parser("bench", help="time selection methods on one instance")
+    p_bench = sub.add_parser("bench", allow_abbrev=False, help="time selection methods on one instance")
     for add in (add_common, lambda p: add_criterion(p, v=1e-3), add_pool):
         add(p_bench)
     p_bench.add_argument("--methods", default=",".join(BENCH_METHODS), help="comma list of methods")
     p_bench.add_argument("--time-budget", type=float, help="skip methods expected to exceed this many seconds")
 
-    p_cross = sub.add_parser("cross-criteria", help="score each criterion's sample under the other")
+    p_cross = sub.add_parser("cross-criteria", allow_abbrev=False,
+                             help="score each criterion's sample under the other")
     for add in (add_common, add_pool):
         add(p_cross)
     p_cross.add_argument("--ns", default="500,1000,3000,5000", help="comma list of budgets")
     p_cross.add_argument("--v", type=float, default=REFERENCE_GAP, help="solve tolerance")
 
-    p_two = sub.add_parser("two-stage", help="random pilot, fit, then designed completion")
+    p_two = sub.add_parser("two-stage", allow_abbrev=False, help="random pilot, fit, then designed completion")
     for add in (add_common, add_data, add_criterion, add_fit):
         add(p_two)
 
-    p_boot = sub.add_parser("bootstrap-eval", help="bootstrap MSE comparison of sampling methods")
+    p_boot = sub.add_parser("bootstrap-eval", allow_abbrev=False,
+                            help="bootstrap MSE comparison of sampling methods")
     for add in (add_common, add_data, add_criterion, add_fit):
         add(p_boot)
     p_boot.add_argument("--B", type=int, default=200, help="bootstrap replicates")

@@ -117,9 +117,10 @@ def info_state_from_m(M: np.ndarray, spec: CriterionSpec) -> InfoState:
             raise DimensionMismatch(
                 f"G has {spec.G.shape[1]} columns for a {M.shape[0]}-dim information matrix"
             )
-        Sigma = spec.G @ M_inv @ spec.G.T
-        Sigma = 0.5 * (Sigma + Sigma.T)
-        sig_lam, sig_vec = np.linalg.eigh(Sigma)
+        # Sigma = B B^T for B = G V Lambda^(-1/2): B's SVD gives its eigenpairs
+        # without squaring B's condition, as an eigh of the formed Sigma would
+        U, s, _ = np.linalg.svd((spec.G @ V) / np.sqrt(lam), full_matrices=False)
+        sig_lam, sig_vec = s[::-1] ** 2, U[:, ::-1]
     sig_lam = np.maximum(sig_lam, EIG_FLOOR)
     phi = _phi_from_eigs(sig_lam, spec.p, sig_lam.shape[0])
     return InfoState(M, M_inv, sig_lam, sig_vec, phi, spec)

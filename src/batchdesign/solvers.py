@@ -29,7 +29,7 @@ Four cooperating pieces:
 
 Both moves take their iterate's evaluation and return (measure, InfoState),
 and that state serves the new iterate's evaluation; only a start, the
-screen's full-pool checks and a restricted solve's renormalized iterate are
+screen's full-pool checks and the iterate that closes a restricted solve are
 assembled afresh.
 
 The relative gap (sum_i sg_i phi_i - Phi_p) / Phi_p is an exact optimality
@@ -292,18 +292,20 @@ def _restricted(aset: AtomSet, ev: _Eval, pinned: np.ndarray,
     points at the cap in both w and sg stay at the cap, points at zero in
     both stay at zero; the rest move inside the capped box with the leftover
     mass, by nonmonotone spectral projected gradient (the gradient
-    coordinate is the negated leverage).  Each iteration projects once, at
-    the Barzilai-Borwein step s^T s / s^T y, and searches the segment from
-    the iterate to that projection in information space: a trial costs one
-    k x k factorization of M + t * M_d.  A trial is accepted under an Armijo
-    rule against the largest criterion value of the last NONMONOTONE_WINDOW
-    iterates, so single steps may go uphill; the best iterate is kept, and
-    the result never has a larger criterion value than Phi_p(w).  The solve
-    is inexact: it stops at the first iterate whose restricted gap is at
-    most max(INNER_TOL, INNER_FORCING * g) times its criterion value, for
-    ev's relative gap g.  Adds its SPG steps and a step-cap hit to run.
-    Returns (measure, InfoState): (w, ev.state) when w is kept, else the
-    closing fresh assembly, or a fresh build of renormalized weights.
+    coordinate is the negated leverage).  The solve starts from ev itself:
+    M(w) is ev.state's and the free points' scores are ev's.  Each
+    iteration projects once, at the Barzilai-Borwein step s^T s / s^T y,
+    and searches the segment from the iterate to that projection in
+    information space: a trial costs one k x k factorization of M + t * M_d.
+    A trial is accepted under an Armijo rule against the largest criterion
+    value of the last NONMONOTONE_WINDOW iterates, so single steps may go
+    uphill; the best iterate is kept.  The solve is inexact: it stops at the
+    first iterate whose restricted gap is at most max(INNER_TOL,
+    INNER_FORCING * g) times its criterion value, for ev's relative gap g.
+    Adds its SPG steps and a step-cap hit to run.  Returns (w, ev.state)
+    when w is kept, else the best iterate's weights (capped points at eps,
+    zero points at 0, free points clipped to [0, eps], all divided by their
+    sum) and one fresh assembly of them, whose Phi_p is not above Phi_p(w).
     """
     w, eps, spec = ev.w, ev.w.epsilon, ev.state.spec
     t1, t2 = ev.split
@@ -313,26 +315,16 @@ def _restricted(aset: AtomSet, ev: _Eval, pinned: np.ndarray,
     free = ~(t1 | t2)
     if not free.any():
         return w, ev.state
-
     mass = 1.0 - eps * int(t1.sum())
     if mass < -1e-9:
         return w, ev.state
     mass = max(mass, 0.0)
-    M_fixed = eps * aset.weighted_sum(t1.astype(float)) if t1.any() else np.zeros((aset.k, aset.k))
     free_atoms = aset.subset(free)
     wf = project_capped_simplex(w.weights[free], eps, mass)
 
-    def assemble(u: np.ndarray) -> InfoState:
-        return info_state_from_m(M_fixed + free_atoms.weighted_sum(u), spec)
-
-    try:
-        state = assemble(wf)
-    except SingularInformation:
-        return w, ev.state
-
     # nonmonotone spectral projected gradient (Birgin, Martinez & Raydan 2000)
     # on the free coordinates; grad holds the scores, the negated gradient
-    grad = phi_p_scores(free_atoms, state)
+    state, grad = ev.state, ev.scores[free]
     recent = deque([state.phi_value], maxlen=NONMONOTONE_WINDOW)
     best_wf, best_phi = wf, state.phi_value
     alpha = eps / max(float(grad.max() - grad.min()), 1e-12)
@@ -381,23 +373,20 @@ def _restricted(aset: AtomSet, ev: _Eval, pinned: np.ndarray,
         run.cap_hits += 1
     run.inner += inner
 
-    # one fresh assembly: the line searches updated M incrementally
-    wf = np.clip(best_wf, 0.0, eps)
+    # one fresh assembly of the weights returned: the line searches updated M
+    # incrementally from M(w)
+    full = w.weights.copy()
+    full[t1] = eps
+    full[t2] = 0.0
+    full[free] = np.clip(best_wf, 0.0, eps)
+    w_new = Measure(full / full.sum(), eps)
     try:
-        state = assemble(wf)
+        state = build_info_state(aset, w_new, spec)
     except SingularInformation:
         return w, ev.state
     if state.phi_value > ev.state.phi_value + PHI_SLACK:
         return w, ev.state
-    full = np.array(w.weights, dtype=float, copy=True)
-    full[t1] = eps
-    full[t2] = 0.0
-    full[free] = wf
-    total = full.sum()
-    if abs(total - 1.0) > 1e-13:
-        w_new = Measure(full / total, eps)
-        return w_new, build_info_state(aset, w_new, spec)
-    return Measure(full, eps), state
+    return w_new, state
 
 
 def _count(x: float) -> int:

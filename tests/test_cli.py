@@ -138,6 +138,16 @@ def test_efficiency_takes_no_budget_flag(pool_csv, tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["cross-criteria", "--n", "100"], ["select", "--stand"],
+                                  ["bootstrap-eval", "--thr", "3"]])
+def test_flag_prefixes_are_not_read_as_flags(argv, capsys):
+    # argparse's default would take these as --ns, --standardize and --threads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_efficiency_candidate_errors(pool_csv, tmp_path):
     bad = tmp_path / "cand.txt"
     bad.write_text("0\n0\n1\n")

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -68,6 +69,27 @@ def test_value_matches_naive_oracle(rng, p, with_g):
         spec = CriterionSpec(p=p, G=G)
         got = build_info_state(X, w, spec).phi_value
         assert got == pytest.approx(phi_direct(M, p, G), rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 2.0])
+def test_value_under_an_ill_conditioned_g_matches_a_40_digit_oracle(p):
+    # a 4 x 4 G of condition 1.7e3 makes Sigma's condition about 1e7; an
+    # eigendecomposition of the formed Sigma lost 1.2e-10 of Phi_0 here, more
+    # than a solve to v = 1e-6 can afford at its last steps
+    rng = np.random.default_rng(0)
+    X = gaussian_pool(rng, 16, 4)
+    G = rng.standard_normal((4, 4))
+    w = rng.random(16)
+    M = (X * (w / w.sum())[:, None]).T @ X
+    M = 0.5 * (M + M.T)
+    with mpmath.workdps(40):
+        Gm = mpmath.matrix(G.tolist())
+        lam = mpmath.eigsy(Gm * mpmath.inverse(mpmath.matrix(M.tolist())) * Gm.T,
+                           eigvals_only=True)
+        want = float(mpmath.fprod(lam) ** mpmath.mpf(0.25) if p == 0.0 else
+                     (mpmath.fsum(x**p for x in lam) / 4) ** (1 / mpmath.mpf(p)))
+    got = info_state_from_m(M, CriterionSpec(p=p, G=G)).phi_value
+    assert abs(got / want - 1.0) <= 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([0.0, 1.0, 2.0, 2.5]))

@@ -73,7 +73,10 @@ def test_ci_workflow_runs_the_tier1_command():
     # the installed console script and the demo are run once, since the
     # tests import from src/ and never start either
     entry = "batchdesign --help\npython scripts/two_stage_demo.py --help\n"
-    assert runs == ['pip install -e ".[test]"', entry, tier1.group(1)]
+    # the golden corpus once more on a kernel other than the one that wrote it
+    golden = ("OPENBLAS_CORETYPE=Haswell PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
+              "python -m pytest -q tests/test_golden.py")
+    assert runs == ['pip install -e ".[test]"', entry, tier1.group(1), golden]
 
 
 def _paired_runs(node):
